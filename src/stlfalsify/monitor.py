@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 from typing import Sequence
 
 from .errors import TraceValidationError, ValidationError
@@ -42,15 +44,20 @@ _INF = math.inf
 
 @dataclass(frozen=True)
 class Trace:
-    """Finite sampled trajectory: strictly increasing timestamps paired with
-    state vectors of uniform dimension."""
+    """Finite sampled trajectory: strictly increasing finite timestamps
+    paired with finite state vectors of uniform dimension.
+
+    NaN and +-inf are rejected in states and timestamps alike: NaN makes
+    min/max folds order-dependent, so a violating trace could score as
+    satisfied, and a system whose state diverged has no meaningful
+    robustness."""
 
     times: tuple[float, ...]
     states: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        states = tuple(tuple(float(x) for x in row) for row in self.states)
+        times = tuple(map(float, self.times))
+        states = tuple(tuple(map(float, row)) for row in self.states)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
         if not times:
@@ -65,8 +72,20 @@ class Trace:
                     f"non-monotone timestamps: {later} follows {earlier}"
                 )
         dimension = len(states[0])
-        if any(len(row) != dimension for row in states):
+        if set(map(len, states)) != {dimension}:
             raise TraceValidationError("ragged trajectory: state dimensions differ")
+        # strictly increasing, so only the ends can be infinite; a NaN would
+        # have failed the ordering check unless it is the only timestamp
+        if not (math.isfinite(times[0]) and math.isfinite(times[-1])):
+            raise TraceValidationError(
+                f"non-finite timestamp in [{times[0]}, {times[-1]}]"
+            )
+        # a finite sum implies finite terms; only an overflowing sum needs
+        # the per-element check
+        if not math.isfinite(sum(chain.from_iterable(states))):
+            for t, row in zip(times, states):
+                if not all(map(math.isfinite, row)):
+                    raise TraceValidationError(f"non-finite state {row} at t={t}")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -84,9 +103,7 @@ def predicate_robustness(predicate: LinearPredicate, state: Sequence[float]) -> 
             f"predicate {predicate.name!r} expects dimension "
             f"{len(predicate.coefficients)}, state has {len(state)}"
         )
-    margin = predicate.bound - sum(
-        c * float(x) for c, x in zip(predicate.coefficients, state)
-    )
+    margin = predicate.bound - sum(map(mul, predicate.coefficients, map(float, state)))
     return margin / predicate.norm
 
 
@@ -116,43 +133,33 @@ def _window_indices(times: tuple[float, ...], anchor: int,
     return range(start, stop)
 
 
-def _minimum(values) -> float:
-    """Left fold keeping the earliest of equal values; +inf when empty."""
-    result = _INF
-    for value in values:
-        if value < result:
-            result = value
-    return result
+def _suffix_extrema(values: list[float], minimize: bool) -> list[float]:
+    """Min/max of ``values[i:]`` for every ``i``: the unbounded window.
+
+    A backward scan that, like a left fold, keeps the earliest of equal
+    values (``-0.0`` and ``0.0`` compare equal)."""
+    out = [0.0] * len(values)
+    best = _INF if minimize else -_INF
+    for i in range(len(values) - 1, -1, -1):
+        value = values[i]
+        if (value <= best) if minimize else (value >= best):
+            best = value
+        out[i] = best
+    return out
 
 
-def _maximum(values) -> float:
-    result = -_INF
-    for value in values:
-        if value > result:
-            result = value
-    return result
+def _window_extrema(values: list[float], times: tuple[float, ...],
+                    bound: TimeBound | None, minimize: bool) -> list[float]:
+    """Per-anchor min/max of ``values`` over each anchor's time window.
 
-
-def _window_extrema_naive(values: list[float], times: tuple[float, ...],
-                          bound: TimeBound | None, minimize: bool) -> list[float]:
-    """Per-anchor window min/max of a robustness signal, by direct scan."""
-    fold = _minimum if minimize else _maximum
-    return [
-        fold(values[j] for j in _window_indices(times, i, bound))
-        for i in range(len(values))
-    ]
-
-
-def _window_extrema_sliding(values: list[float], times: tuple[float, ...],
-                            bound: TimeBound | None, minimize: bool) -> list[float]:
-    """Monotone-deque sliding window extrema, O(n) over all anchors.
-
-    Bit-compatible with :func:`_window_extrema_naive`: strict popping keeps
-    the earliest of equal values, matching the left-fold tie behavior.
+    Unbounded windows are suffixes; bounded ones use a monotone-deque
+    sliding window, O(n) over all anchors.  Strict popping keeps the
+    earliest of equal values, the tie rule of a left fold over the window.
     """
+    if bound is None:
+        return _suffix_extrema(values, minimize)
     n = len(values)
-    lower = 0.0 if bound is None else bound.lower
-    upper = _INF if bound is None else bound.upper
+    lower, upper = bound.lower, bound.upper
     out = [0.0] * n
     deque_idx: list[int] = []   # candidate indices, extremum at the front
     head = 0
@@ -187,42 +194,49 @@ def _window_extrema_sliding(values: list[float], times: tuple[float, ...],
 
 
 def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
-                       trace: Trace, fast_windows: bool) -> list[float]:
+                       trace: Trace) -> list[float]:
     """Robustness of ``formula`` at every sample index, computed bottom-up."""
     n = len(trace)
-    windows = _window_extrema_sliding if fast_windows else _window_extrema_naive
 
     if isinstance(formula, Predicate):
         pred = _resolve(formula, predicates)
-        return [predicate_robustness(pred, state) for state in trace.states]
+        coefficients, bound, norm = pred.coefficients, pred.bound, pred.norm
+        if trace.dimension != len(coefficients):
+            raise ValidationError(
+                f"predicate {pred.name!r} expects dimension "
+                f"{len(coefficients)}, state has {trace.dimension}"
+            )
+        # the arithmetic of predicate_robustness, one dimension check per trace
+        return [(bound - sum(map(mul, coefficients, state))) / norm
+                for state in trace.states]
     if isinstance(formula, Not):
-        child = _robustness_signal(formula.child, predicates, trace, fast_windows)
+        child = _robustness_signal(formula.child, predicates, trace)
         return [-value for value in child]
     if isinstance(formula, And):
-        left = _robustness_signal(formula.left, predicates, trace, fast_windows)
-        right = _robustness_signal(formula.right, predicates, trace, fast_windows)
+        left = _robustness_signal(formula.left, predicates, trace)
+        right = _robustness_signal(formula.right, predicates, trace)
         return [r if r < l else l for l, r in zip(left, right)]
     if isinstance(formula, Or):
-        left = _robustness_signal(formula.left, predicates, trace, fast_windows)
-        right = _robustness_signal(formula.right, predicates, trace, fast_windows)
+        left = _robustness_signal(formula.left, predicates, trace)
+        right = _robustness_signal(formula.right, predicates, trace)
         return [r if r > l else l for l, r in zip(left, right)]
     if isinstance(formula, Implies):
         # Same value as the parse-time desugaring Or(Not(left), right).
-        left = _robustness_signal(formula.left, predicates, trace, fast_windows)
-        right = _robustness_signal(formula.right, predicates, trace, fast_windows)
+        left = _robustness_signal(formula.left, predicates, trace)
+        right = _robustness_signal(formula.right, predicates, trace)
         return [r if r > -l else -l for l, r in zip(left, right)]
     if isinstance(formula, Next):
-        child = _robustness_signal(formula.child, predicates, trace, fast_windows)
+        child = _robustness_signal(formula.child, predicates, trace)
         return child[1:] + [-_INF]
     if isinstance(formula, Eventually):
-        child = _robustness_signal(formula.child, predicates, trace, fast_windows)
-        return windows(child, trace.times, formula.bound, minimize=False)
+        child = _robustness_signal(formula.child, predicates, trace)
+        return _window_extrema(child, trace.times, formula.bound, minimize=False)
     if isinstance(formula, Always):
-        child = _robustness_signal(formula.child, predicates, trace, fast_windows)
-        return windows(child, trace.times, formula.bound, minimize=True)
+        child = _robustness_signal(formula.child, predicates, trace)
+        return _window_extrema(child, trace.times, formula.bound, minimize=True)
     if isinstance(formula, Until):
-        left = _robustness_signal(formula.left, predicates, trace, fast_windows)
-        right = _robustness_signal(formula.right, predicates, trace, fast_windows)
+        left = _robustness_signal(formula.left, predicates, trace)
+        right = _robustness_signal(formula.right, predicates, trace)
         out = []
         for i in range(n):
             window = _window_indices(trace.times, i, formula.bound)
@@ -243,18 +257,13 @@ def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
 
 
 def evaluate(formula: Formula, predicates: PredicateMap | None, trace: Trace,
-             at: int = 0, fast_windows: bool = True) -> float:
-    """Quantitative robustness of ``formula`` over ``trace`` at sample ``at``.
-
-    ``fast_windows`` selects the O(n) sliding-window path for always and
-    eventually; it is bit-identical to the naive per-anchor scan and exists
-    only as a performance knob (and regression target) for long traces.
-    """
+             at: int = 0) -> float:
+    """Quantitative robustness of ``formula`` over ``trace`` at sample ``at``."""
     if not 0 <= at < len(trace):
         raise ValidationError(
             f"anchor index {at} out of range for a {len(trace)}-sample trace"
         )
-    return _robustness_signal(formula, predicates, trace, fast_windows)[at]
+    return _robustness_signal(formula, predicates, trace)[at]
 
 
 # --- qualitative oracle ------------------------------------------------------

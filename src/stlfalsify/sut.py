@@ -109,6 +109,12 @@ class Interpolator:
     def at(self, t: float) -> float:
         raise NotImplementedError
 
+    def sample(self, times: Sequence[float]) -> list[float]:
+        """``[self.at(t) for t in times]`` bit for bit, computed in one walk
+        over the control times: linear in ``len(times)`` when ``times`` is
+        non-decreasing, as the integrator's stage times are."""
+        raise NotImplementedError
+
 
 class PiecewiseConstant(Interpolator):
     """Step signal, constant on each ``[t_k, t_{k+1})``; ``at(end)`` is the
@@ -132,6 +138,21 @@ class PiecewiseConstant(Interpolator):
             else:
                 high = mid - 1
         return self.control_values[low]
+
+    def sample(self, times: Sequence[float]) -> list[float]:
+        control = self.control_times
+        values = self.control_values
+        last = len(control) - 1
+        low = 0
+        out = []
+        for t in times:
+            # same result as at(): rightmost control time <= t, else index 0
+            while low < last and control[low + 1] <= t:
+                low += 1
+            while low > 0 and control[low] > t:
+                low -= 1
+            out.append(values[low])
+        return out
 
 
 class PiecewiseLinear(Interpolator):
@@ -161,6 +182,28 @@ class PiecewiseLinear(Interpolator):
         span = times[high] - times[low]
         weight = (t - times[low]) / span
         return values[low] + weight * (values[high] - values[low])
+
+    def sample(self, times: Sequence[float]) -> list[float]:
+        control = self.control_times
+        values = self.control_values
+        first, last = control[0], control[-1]
+        low = 0
+        out = []
+        for t in times:
+            if t <= first:
+                out.append(values[0])
+            elif t >= last:
+                out.append(values[-1])
+            else:
+                # same bracket as at(): control[low] <= t < control[low + 1]
+                while control[low + 1] <= t:
+                    low += 1
+                while control[low] > t:
+                    low -= 1
+                span = control[low + 1] - control[low]
+                weight = (t - control[low]) / span
+                out.append(values[low] + weight * (values[low + 1] - values[low]))
+        return out
 
 
 def interpolator_create(kind: str, interval: tuple[float, float],
@@ -246,7 +289,7 @@ class Blackbox:
             raise ValidationError(f"inverted interval ({start}, {end})")
         if self.interpolate or not signals:
             times = _grid(start, end, self.steps)
-            rows = tuple(tuple(s.at(t) for t in times) for s in signals)
+            rows = tuple(tuple(s.sample(times)) for s in signals)
         else:
             counts = {len(s.control_values) for s in signals}
             if len(counts) != 1:
@@ -268,6 +311,10 @@ def _grid(start: float, end: float, steps: int) -> tuple[float, ...]:
 DerivativeFunc = Callable[[float, Sequence[float], Sequence[float]], Sequence[float]]
 
 
+class _WrongDimension(Exception):
+    """A derivative result whose length differs from the state's."""
+
+
 def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
                  interval: tuple[float, float], signals: Sequence[Interpolator],
                  step: float) -> Trace:
@@ -277,7 +324,8 @@ def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
     steps (at least one) so both endpoints land exactly on the grid; the
     trace holds the state at every step boundary.  Integration aborts with a
     :class:`SimulationError` naming the time at which the state first went
-    non-finite.
+    non-finite, or the stage time at which the derivative raised or returned
+    the wrong dimension.
     """
     if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
@@ -287,51 +335,67 @@ def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
     span = end - start
     steps = max(1, round(span / step))
     h = span / steps
+    half = h / 2.0
+    sixth = h / 6.0
+
+    grid = [start + span * k / steps for k in range(steps + 1)]
+    # stage times in order: grid[0], mid[0], grid[1], mid[1], ..., grid[steps];
+    # every signal is sampled once at each of them
+    stages = [0.0] * (2 * steps + 1)
+    stages[0::2] = grid
+    stages[1::2] = [t + half for t in grid[:-1]]
+    if signals:
+        inputs = list(map(list, zip(*(s.sample(stages) for s in signals))))
+    else:
+        inputs = [[]] * len(stages)
 
     state = [float(x) for x in initial_state]
-    times = [start]
+    dimension = len(state)
     rows = [tuple(state)]
-    for k in range(steps):
-        t = start + span * k / steps
-        t_mid = t + h / 2.0
-        t_next = start + span * (k + 1) / steps
-        u0 = [s.at(t) for s in signals]
-        u_mid = [s.at(t_mid) for s in signals]
-        u1 = [s.at(t_next) for s in signals]
-
-        k1 = _eval_derivative(derivative, t, state, u0)
-        k2 = _eval_derivative(
-            derivative, t_mid, [x + h / 2.0 * d for x, d in zip(state, k1)], u_mid
-        )
-        k3 = _eval_derivative(
-            derivative, t_mid, [x + h / 2.0 * d for x, d in zip(state, k2)], u_mid
-        )
-        k4 = _eval_derivative(
-            derivative, t_next, [x + h * d for x, d in zip(state, k3)], u1
-        )
+    for t, t_mid, t_next, u0, u_mid, u1 in zip(
+            stages[0::2], stages[1::2], stages[2::2],
+            inputs[0::2], inputs[1::2], inputs[2::2]):
+        stage_t = t
+        try:
+            k1 = list(map(float, derivative(t, state, u0)))
+            if len(k1) != dimension:
+                raise _WrongDimension(len(k1))
+            stage_t = t_mid
+            k2 = list(map(float, derivative(
+                t_mid, [x + half * d for x, d in zip(state, k1)], u_mid)))
+            if len(k2) != dimension:
+                raise _WrongDimension(len(k2))
+            k3 = list(map(float, derivative(
+                t_mid, [x + half * d for x, d in zip(state, k2)], u_mid)))
+            if len(k3) != dimension:
+                raise _WrongDimension(len(k3))
+            stage_t = t_next
+            k4 = list(map(float, derivative(
+                t_next, [x + h * d for x, d in zip(state, k3)], u1)))
+            if len(k4) != dimension:
+                raise _WrongDimension(len(k4))
+        except _WrongDimension as wrong:
+            raise SimulationError(
+                f"derivative returned dimension {wrong.args[0]} for state "
+                f"dimension {dimension} at t={stage_t}"
+            ) from None
+        except Exception as exc:
+            raise SimulationError(
+                f"derivative function failed at t={stage_t}: {exc!r}"
+            ) from exc
         state = [
-            x + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            x + sixth * (a + 2.0 * b + 2.0 * c + d)
             for x, a, b, c, d in zip(state, k1, k2, k3, k4)
         ]
-        if not all(math.isfinite(x) for x in state):
+        # a finite sum implies finite terms; only an overflowing sum needs
+        # the per-element check
+        if not math.isfinite(sum(state)) and not all(map(math.isfinite, state)):
             raise SimulationError(f"state became non-finite at t={t_next}")
-        times.append(t_next)
         rows.append(tuple(state))
-    return Trace(tuple(times), tuple(rows))
-
-
-def _eval_derivative(derivative: DerivativeFunc, t: float, state: list[float],
-                     u: list[float]) -> list[float]:
-    try:
-        result = [float(d) for d in derivative(t, state, u)]
-    except Exception as exc:
-        raise SimulationError(f"derivative function failed at t={t}: {exc!r}") from exc
-    if len(result) != len(state):
-        raise SimulationError(
-            f"derivative returned dimension {len(result)} for state "
-            f"dimension {len(state)} at t={t}"
-        )
-    return result
+    # the first stage time is start + 0.0, which turns -0.0 into 0.0; the
+    # trace keeps start itself
+    grid[0] = start
+    return Trace(tuple(grid), tuple(rows))
 
 
 class OdeSystem:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from naive_monitor import naive_evaluate
 from stlfalsify.errors import TraceValidationError, ValidationError
 from stlfalsify.monitor import Trace, evaluate, evaluate_boolean, predicate_robustness
 from stlfalsify.stl import (
@@ -64,6 +65,26 @@ class TestTrace:
         with pytest.raises(TraceValidationError):
             Trace((0.0, 1.0), ((1.0,), (1.0, 2.0)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_state_rejected(self, bad):
+        with pytest.raises(TraceValidationError, match="non-finite state"):
+            Trace((0.0, 1.0, 2.0), ((0.0, 1.0), (bad, 1.0), (2.0, 1.0)))
+
+    def test_nan_cannot_flip_always_to_satisfied(self):
+        # regression: with states [0, nan, 2] the sliding window scored
+        # "[] (x <= 0.5)" +0.5 (satisfied) and the naive scan -1.5
+        with pytest.raises(TraceValidationError, match="at t=1.0"):
+            scalar_trace([0.0, math.nan, 2.0])
+
+    @pytest.mark.parametrize("times", [(math.nan,), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_timestamp_rejected(self, times):
+        with pytest.raises(TraceValidationError, match="non-finite timestamp"):
+            Trace(times, tuple((1.0,) for _ in times))
+
+    def test_finite_states_with_overflowing_sum_accepted(self):
+        trace = Trace((0.0, 1.0), ((1e308, 1e308), (-1e308, -1e308)))
+        assert trace.states[0] == (1e308, 1e308)
+
 
 class TestPredicateRobustness:
     def test_unit_coefficient_distance(self):
@@ -80,6 +101,13 @@ class TestPredicateRobustness:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             predicate_robustness(LinearPredicate("p", (1.0,), 5.0), (1.0, 2.0))
+
+    def test_trace_dimension_mismatch(self):
+        predicates = PredicateMap(("x",))
+        predicates.add("p1", (1.0,), 5.0)
+        trace = Trace((0.0, 1.0), ((1.0, 2.0), (3.0, 4.0)))
+        with pytest.raises(ValidationError, match="expects dimension 1, state has 2"):
+            evaluate(Predicate("p1"), predicates, trace)
 
 
 class TestEvaluate:
@@ -184,8 +212,8 @@ class TestEvaluate:
         predicates.add("p1", (1.0,), 10.0)
         trace = scalar_trace([1.0, 4.0, 9.0, 2.0, 7.0])
         formula = Always(Eventually(Predicate("p1"), TimeBound(0.0, 2.0)))
-        fast = evaluate(formula, predicates, trace, fast_windows=True)
-        naive = evaluate(formula, predicates, trace, fast_windows=False)
+        fast = evaluate(formula, predicates, trace)
+        naive = naive_evaluate(formula, predicates, trace)
         assert fast == naive
 
 

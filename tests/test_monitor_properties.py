@@ -3,21 +3,24 @@
 The soundness property is the backbone: away from the zero boundary, the
 sign of the robustness value must agree with qualitative satisfaction
 computed by a completely separate recursion.  The remaining properties pin
-algebraic laws (dualities, idempotence) bit-exactly and force the sliding
-window path to match the naive one bit for bit.
+algebraic laws (dualities, idempotence) bit-exactly and force the monitor's
+sliding-window and suffix-scan paths to match the naive oracle in
+``naive_monitor`` bit for bit.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from stlfalsify.monitor import Trace, evaluate, evaluate_boolean
+from naive_monitor import naive_evaluate
+from stlfalsify.monitor import Trace, evaluate, evaluate_boolean, predicate_robustness
 from stlfalsify.stl import (
     Always,
     And,
     Eventually,
     Next,
     Not,
+    LinearPredicate,
     Or,
     Predicate,
     PredicateMap,
@@ -162,6 +165,36 @@ def test_repeated_evaluation_is_deterministic(scenario):
 @given(scenarios())
 def test_sliding_windows_match_naive_bit_for_bit(scenario):
     formula, predicates, trace, anchor = scenario
-    fast = evaluate(formula, predicates, trace, at=anchor, fast_windows=True)
-    naive = evaluate(formula, predicates, trace, at=anchor, fast_windows=False)
+    fast = evaluate(formula, predicates, trace, at=anchor)
+    naive = naive_evaluate(formula, predicates, trace, at=anchor)
     assert bit_equal(fast, naive)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_predicate_signal_matches_predicate_robustness(data):
+    dimension = data.draw(st.integers(1, 4))
+    coefficient = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from((0.0, -0.0))
+    coefficients = data.draw(
+        st.lists(coefficient, min_size=dimension, max_size=dimension).filter(
+            lambda cs: any(c != 0.0 for c in cs)
+        )
+    )
+    predicate = LinearPredicate("p", coefficients, data.draw(st.floats(-5.0, 5.0)))
+    value = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from((0.0, -0.0))
+    n = data.draw(st.integers(1, 8))
+    states = data.draw(
+        st.lists(
+            st.lists(value, min_size=dimension, max_size=dimension).map(tuple),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    trace = Trace(tuple(float(k) for k in range(n)), tuple(states))
+    predicates = PredicateMap(tuple(f"x{k}" for k in range(dimension)))
+    formula = Predicate("p", predicate)
+    for anchor, state in enumerate(states):
+        assert bit_equal(
+            evaluate(formula, predicates, trace, at=anchor),
+            predicate_robustness(predicate, state),
+        )

@@ -399,6 +399,25 @@ class TestFalsify:
         assert not run.falsified
         assert system.calls == 8
 
+    @pytest.mark.parametrize("policy", list(ErrorPolicy))
+    def test_blackbox_nan_state_is_a_failure(self, policy):
+        # the last sample violates "x0 <= 5"; before Trace rejected NaN the
+        # middle sample could hide that and record robustness as a number
+        def nan_blackbox(static, times, signals):
+            return (0.0, 1.0, 2.0), ((static[0],), (math.nan,), (9.0,))
+
+        options = Options(static_params=((0.0, 4.0),), iterations=5,
+                          error_policy=policy)
+        run = falsify(self.spec(), Blackbox(nan_blackbox), "uniform-random", options)[0]
+        assert not run.falsified
+        assert run.failures and all("non-finite state" in error
+                                    for _, error in run.failures)
+        if policy is ErrorPolicy.ABORT_RUN:
+            assert run.history == () and len(run.failures) == 1
+        else:
+            assert len(run.failures) == 5
+            assert all(entry.robustness == math.inf for entry in run.history)
+
     def test_unknown_optimizer_never_simulates(self):
         system = ConstantSystem()
         with pytest.raises(ValidationError, match="unknown optimizer"):

@@ -307,3 +307,223 @@ class TestOdeSystem:
     def test_returns_trace(self):
         system = OdeSystem(lambda t, x, u: (0.0,), step=0.5)
         assert isinstance(system.simulate((1.0,), (), (0.0, 1.0)), Trace)
+
+
+def bit_equal(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def seed_ode_simulate(derivative, initial_state, interval, signals, step):
+    """The first RK4 loop of the package, kept as the oracle for the
+    optimized one: every stage time recomputed, every signal value found by
+    ``at()``, every derivative call wrapped."""
+    start, end = float(interval[0]), float(interval[1])
+    span = end - start
+    steps = max(1, round(span / step))
+    h = span / steps
+
+    def call(t, state, u):
+        try:
+            result = [float(d) for d in derivative(t, state, u)]
+        except Exception as exc:
+            raise SimulationError(f"derivative function failed at t={t}: {exc!r}") from exc
+        if len(result) != len(state):
+            raise SimulationError(
+                f"derivative returned dimension {len(result)} for state "
+                f"dimension {len(state)} at t={t}"
+            )
+        return result
+
+    state = [float(x) for x in initial_state]
+    times = [start]
+    rows = [tuple(state)]
+    for k in range(steps):
+        t = start + span * k / steps
+        t_mid = t + h / 2.0
+        t_next = start + span * (k + 1) / steps
+        u0 = [s.at(t) for s in signals]
+        u_mid = [s.at(t_mid) for s in signals]
+        u1 = [s.at(t_next) for s in signals]
+        k1 = call(t, state, u0)
+        k2 = call(t_mid, [x + h / 2.0 * d for x, d in zip(state, k1)], u_mid)
+        k3 = call(t_mid, [x + h / 2.0 * d for x, d in zip(state, k2)], u_mid)
+        k4 = call(t_next, [x + h * d for x, d in zip(state, k3)], u1)
+        state = [
+            x + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+        ]
+        if not all(math.isfinite(x) for x in state):
+            raise SimulationError(f"state became non-finite at t={t_next}")
+        times.append(t_next)
+        rows.append(tuple(state))
+    return Trace(tuple(times), tuple(rows))
+
+
+def assert_traces_bit_equal(actual, expected):
+    assert len(actual) == len(expected)
+    assert all(map(bit_equal, actual.times, expected.times))
+    for row, expected_row in zip(actual.states, expected.states):
+        assert all(map(bit_equal, row, expected_row))
+
+
+KINDS = ("piecewise-constant", "piecewise-linear")
+
+
+@st.composite
+def interval_and_signal(draw):
+    kind = draw(st.sampled_from(KINDS))
+    start = draw(st.floats(-100.0, 100.0, allow_nan=False))
+    end = start + draw(st.floats(1e-3, 100.0, allow_nan=False))
+    count = draw(st.integers(1 if kind == "piecewise-constant" else 2, 9))
+    values = draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
+                           min_size=count, max_size=count))
+    return (start, end), interpolator_create(kind, (start, end), values)
+
+
+class TestSampleWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(interval_and_signal(), st.integers(1, 60), st.data())
+    def test_walk_matches_at_bit_for_bit(self, setup, steps, data):
+        (start, end), signal = setup
+        span = end - start
+        grid = [start + span * k / steps for k in range(steps + 1)]
+        half = span / steps / 2.0
+        # RK4 stage times, the control times themselves, and times outside
+        # the interval, in walking order
+        times = sorted(
+            grid
+            + [t + half for t in grid[:-1]]
+            + list(signal.control_times)
+            + data.draw(st.lists(st.floats(start - 5.0, end + 5.0), max_size=10))
+        )
+        expected = [signal.at(t) for t in times]
+        assert all(map(bit_equal, signal.sample(times), expected))
+
+    @settings(max_examples=100, deadline=None)
+    @given(interval_and_signal(), st.data())
+    def test_walk_matches_at_in_any_order(self, setup, data):
+        (start, end), signal = setup
+        points = st.sampled_from(signal.control_times) | st.floats(start - 1.0, end + 1.0)
+        times = data.draw(st.lists(points, max_size=20))
+        assert all(map(bit_equal, signal.sample(times), [signal.at(t) for t in times]))
+
+    def test_single_control_point(self):
+        signal = interpolator_create("piecewise-constant", (0.0, 2.0), [3.5])
+        assert signal.sample([-1.0, 0.0, 1.0, 2.0, 3.0]) == [3.5] * 5
+
+
+@st.composite
+def random_systems(draw):
+    """A random polynomial derivative of dimension 1-3 driven by 0-2 signals."""
+    dimension = draw(st.integers(1, 3))
+    coefficient = st.floats(-2.0, 2.0, allow_nan=False)
+    linear = draw(st.lists(st.lists(coefficient, min_size=dimension, max_size=dimension),
+                           min_size=dimension, max_size=dimension))
+    quadratic = draw(st.lists(coefficient, min_size=dimension, max_size=dimension))
+    drift = draw(coefficient)
+    start = draw(st.floats(-10.0, 10.0, allow_nan=False))
+    end = start + draw(st.floats(0.1, 10.0, allow_nan=False))
+    signals = []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(KINDS))
+        count = draw(st.integers(1 if kind == "piecewise-constant" else 2, 6))
+        values = draw(st.lists(coefficient, min_size=count, max_size=count))
+        signals.append(interpolator_create(kind, (start, end), values))
+    weights = draw(st.lists(coefficient, min_size=len(signals), max_size=len(signals)))
+
+    def derivative(t, state, u):
+        forcing = drift * t
+        for w, value in zip(weights, u):
+            forcing += w * value
+        return [
+            sum(a * x for a, x in zip(row, state)) + q * state[i] * state[i - 1] + forcing
+            for i, (row, q) in enumerate(zip(linear, quadratic))
+        ]
+
+    initial = draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
+                            min_size=dimension, max_size=dimension))
+    step = (end - start) / draw(st.integers(1, 80))
+    return derivative, initial, (start, end), signals, step
+
+
+class TestOdeSimulateMatchesSeedLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(random_systems())
+    def test_bit_for_bit(self, system):
+        try:
+            expected = seed_ode_simulate(*system)
+        except SimulationError as exc:
+            with pytest.raises(SimulationError) as raised:
+                ode_simulate(*system)
+            assert str(raised.value) == str(exc)
+        else:
+            assert_traces_bit_equal(ode_simulate(*system), expected)
+
+    def test_benchmark_systems_bit_for_bit(self):
+        from stlfalsify import get_benchmark
+        from stlfalsify.runner import decompose_sample
+
+        for name, sample in (("oscillator", (0.9, 0.2, -0.1, 0.05, -0.2)),
+                             ("nonlinear2d", (1.7, 0.3))):
+            bench = get_benchmark(name)
+            static, signals = decompose_sample(sample, bench.options)
+            initial = (static[0], 0.0) if name == "oscillator" else static
+            args = (bench.system.derivative, initial, bench.options.interval,
+                    signals, bench.system.step)
+            assert_traces_bit_equal(ode_simulate(*args), seed_ode_simulate(*args))
+
+    @staticmethod
+    def failing_on(call, result):
+        """Derivative that returns ``result()`` on its ``call``-th call (1-based)."""
+        calls = []
+
+        def derivative(t, state, u):
+            calls.append(t)
+            if len(calls) == call:
+                return result()
+            return [-x for x in state]
+
+        return derivative
+
+    @staticmethod
+    def error_of(simulate, derivative):
+        with pytest.raises(SimulationError) as raised:
+            simulate(derivative, (1.0, 2.0), (0.0, 1.0), (), 0.25)
+        return str(raised.value)
+
+    @pytest.mark.parametrize("call, stage_time", [
+        (1, "t=0.0"), (2, "t=0.125"), (3, "t=0.125"), (4, "t=0.25"),
+        (5, "t=0.25"), (8, "t=0.5"),
+    ])
+    def test_raise_names_the_stage_time(self, call, stage_time):
+        def boom():
+            raise RuntimeError("stage failed")
+
+        message = self.error_of(ode_simulate, self.failing_on(call, boom))
+        assert message == self.error_of(seed_ode_simulate, self.failing_on(call, boom))
+        assert message == f"derivative function failed at {stage_time}: RuntimeError('stage failed')"
+
+    @pytest.mark.parametrize("call, stage_time", [
+        (1, "t=0.0"), (2, "t=0.125"), (3, "t=0.125"), (4, "t=0.25"),
+    ])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_dimension_names_the_stage_time(self, call, stage_time, length):
+        def wrong():
+            return [0.0] * length
+
+        message = self.error_of(ode_simulate, self.failing_on(call, wrong))
+        assert message == self.error_of(seed_ode_simulate, self.failing_on(call, wrong))
+        assert message == (f"derivative returned dimension {length} for state "
+                           f"dimension 2 at {stage_time}")
+
+    def test_non_finite_state_names_the_step_end(self):
+        def blow_up():
+            return [math.inf, 0.0]
+
+        message = self.error_of(ode_simulate, self.failing_on(6, blow_up))
+        assert message == self.error_of(seed_ode_simulate, self.failing_on(6, blow_up))
+        assert message == "state became non-finite at t=0.5"
+
+    def test_finite_state_with_overflowing_sum_continues(self):
+        trace = ode_simulate(lambda t, x, u: (0.0, 0.0), (1e308, 1e308), (0.0, 1.0), (), 0.5)
+        assert trace.states[-1] == (1e308, 1e308)
