@@ -207,8 +207,19 @@ def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
                 f"{len(coefficients)}, state has {trace.dimension}"
             )
         # the arithmetic of predicate_robustness, one dimension check per trace
-        return [(bound - sum(map(mul, coefficients, state))) / norm
-                for state in trace.states]
+        signal = [(bound - sum(map(mul, coefficients, state))) / norm
+                  for state in trace.states]
+        # finite states whose terms overflow with opposite signs give
+        # inf - inf; a NaN would slip through the min/max folds, so reject
+        # it.  A sum without NaN has no NaN term.
+        if math.isnan(sum(signal)):
+            for t, state, value in zip(trace.times, trace.states, signal):
+                if math.isnan(value):
+                    raise TraceValidationError(
+                        f"predicate {pred.name!r} is NaN at t={t}: its terms "
+                        f"overflow on state {state}"
+                    )
+        return signal
     if isinstance(formula, Not):
         child = _robustness_signal(formula.child, predicates, trace)
         return [-value for value in child]

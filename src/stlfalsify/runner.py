@@ -18,6 +18,7 @@ failure can never count as a falsification), and keeps searching.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -246,6 +247,8 @@ def make_objective(sut: System, spec: Specification, options: Options):
                     f"simulate must return a Trace, got {type(trace).__name__}"
                 )
             robustness = float(spec.evaluate(trace))
+            if math.isnan(robustness):
+                raise SimulationError("specification returned NaN robustness")
         except SimulationError as exc:
             state.failures.append((tuple(float(x) for x in sample), str(exc)))
             if options.error_policy is ErrorPolicy.ABORT_RUN:

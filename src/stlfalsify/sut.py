@@ -26,7 +26,9 @@ policy decides what happens next.
 
 from __future__ import annotations
 
+import functools
 import math
+import string
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -315,6 +317,101 @@ class _WrongDimension(Exception):
     """A derivative result whose length differs from the state's."""
 
 
+# One RK4 loop per state dimension, with the state held in scalars
+# x0..x{d-1}: no per-step list comprehension or zip.  The arithmetic is the
+# vector form's, coordinate by coordinate and in the same order, so results
+# are bit-identical for every dimension.  ``$``-fields are filled in by
+# _rk4_loop.
+_RK4_TEMPLATE = string.Template("""\
+def rk4(derivative, state, stage_rows, h, half, sixth):
+    [$x] = state
+    rows = [($x_row)]
+    for t, t_mid, t_next, u0, u_mid, u1 in stage_rows:
+        stage_t = t
+        try:
+            k = list(map(float, derivative(t, [$x], u0)))
+            try:
+                [$a] = k
+            except ValueError:
+                raise _WrongDimension(len(k)) from None
+            stage_t = t_mid
+            k = list(map(float, derivative(t_mid, [$x_half_a], u_mid)))
+            try:
+                [$b] = k
+            except ValueError:
+                raise _WrongDimension(len(k)) from None
+            k = list(map(float, derivative(t_mid, [$x_half_b], u_mid)))
+            try:
+                [$c] = k
+            except ValueError:
+                raise _WrongDimension(len(k)) from None
+            stage_t = t_next
+            k = list(map(float, derivative(t_next, [$x_h_c], u1)))
+            try:
+                [$d] = k
+            except ValueError:
+                raise _WrongDimension(len(k)) from None
+        except _WrongDimension as wrong:
+            raise SimulationError(
+                f"derivative returned dimension {wrong.args[0]} for state "
+                f"dimension $dimension at t={stage_t}"
+            ) from None
+        except Exception as exc:
+            raise SimulationError(
+                f"derivative function failed at t={stage_t}: {exc!r}"
+            ) from exc
+$update
+        # a finite sum implies finite terms; only an overflowing sum needs
+        # the per-element check
+        if not isfinite($x_sum) and not all(map(isfinite, ($x_row))):
+            raise SimulationError(f"state became non-finite at t={t_next}")
+        rows.append(($x_row))
+    return rows
+""")
+
+
+def _balanced_sum(terms: list[str]) -> str:
+    """``terms`` added as a balanced tree, so the expression nests only
+    log2(len(terms)) deep; a left-to-right chain of a few thousand terms
+    exceeds the compiler's recursion limit."""
+    if len(terms) <= 1:
+        return terms[0] if terms else "0.0"
+    middle = len(terms) // 2
+    return f"({_balanced_sum(terms[:middle])} + {_balanced_sum(terms[middle:])})"
+
+
+@functools.lru_cache(maxsize=32)
+def _rk4_loop(dimension: int) -> Callable:
+    """The RK4 loop for ``dimension`` state coordinates, compiled on first
+    use: ``rk4(derivative, state, stage_rows, h, half, sixth)`` returns the
+    state rows at every step boundary."""
+    x, a, b, c, d = ([f"{name}{i}" for i in range(dimension)] for name in "xabcd")
+    source = _RK4_TEMPLATE.substitute(
+        dimension=dimension,
+        x=", ".join(x),
+        a=", ".join(a),
+        b=", ".join(b),
+        c=", ".join(c),
+        d=", ".join(d),
+        x_row="".join(f"{xi}, " for xi in x),
+        x_half_a=", ".join(f"{xi} + half * {ai}" for xi, ai in zip(x, a)),
+        x_half_b=", ".join(f"{xi} + half * {bi}" for xi, bi in zip(x, b)),
+        x_h_c=", ".join(f"{xi} + h * {ci}" for xi, ci in zip(x, c)),
+        update="\n".join(
+            f"        {xi} = {xi} + sixth * ({ai} + 2.0 * {bi} + 2.0 * {ci} + {di})"
+            for xi, ai, bi, ci, di in zip(x, a, b, c, d)
+        ),
+        x_sum=_balanced_sum(x),
+    )
+    namespace = {
+        "SimulationError": SimulationError,
+        "_WrongDimension": _WrongDimension,
+        "isfinite": math.isfinite,
+    }
+    exec(compile(source, f"<rk4 loop, dimension {dimension}>", "exec"), namespace)
+    return namespace["rk4"]
+
+
 def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
                  interval: tuple[float, float], signals: Sequence[Interpolator],
                  step: float) -> Trace:
@@ -322,10 +419,12 @@ def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
 
     The interval is divided into ``round((end - start) / step)`` uniform
     steps (at least one) so both endpoints land exactly on the grid; the
-    trace holds the state at every step boundary.  Integration aborts with a
-    :class:`SimulationError` naming the time at which the state first went
-    non-finite, or the stage time at which the derivative raised or returned
-    the wrong dimension.
+    trace holds the state at every step boundary.  Each derivative call
+    receives the state as a new list; its result may be any iterable of
+    numbers, is converted with ``float`` and must have the state's length.
+    Integration aborts with a :class:`SimulationError` naming the time at
+    which the state first went non-finite, or the stage time at which the
+    derivative raised or returned the wrong dimension.
     """
     if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
@@ -350,48 +449,9 @@ def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
         inputs = [[]] * len(stages)
 
     state = [float(x) for x in initial_state]
-    dimension = len(state)
-    rows = [tuple(state)]
-    for t, t_mid, t_next, u0, u_mid, u1 in zip(
-            stages[0::2], stages[1::2], stages[2::2],
-            inputs[0::2], inputs[1::2], inputs[2::2]):
-        stage_t = t
-        try:
-            k1 = list(map(float, derivative(t, state, u0)))
-            if len(k1) != dimension:
-                raise _WrongDimension(len(k1))
-            stage_t = t_mid
-            k2 = list(map(float, derivative(
-                t_mid, [x + half * d for x, d in zip(state, k1)], u_mid)))
-            if len(k2) != dimension:
-                raise _WrongDimension(len(k2))
-            k3 = list(map(float, derivative(
-                t_mid, [x + half * d for x, d in zip(state, k2)], u_mid)))
-            if len(k3) != dimension:
-                raise _WrongDimension(len(k3))
-            stage_t = t_next
-            k4 = list(map(float, derivative(
-                t_next, [x + h * d for x, d in zip(state, k3)], u1)))
-            if len(k4) != dimension:
-                raise _WrongDimension(len(k4))
-        except _WrongDimension as wrong:
-            raise SimulationError(
-                f"derivative returned dimension {wrong.args[0]} for state "
-                f"dimension {dimension} at t={stage_t}"
-            ) from None
-        except Exception as exc:
-            raise SimulationError(
-                f"derivative function failed at t={stage_t}: {exc!r}"
-            ) from exc
-        state = [
-            x + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for x, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
-        # a finite sum implies finite terms; only an overflowing sum needs
-        # the per-element check
-        if not math.isfinite(sum(state)) and not all(map(math.isfinite, state)):
-            raise SimulationError(f"state became non-finite at t={t_next}")
-        rows.append(tuple(state))
+    stage_rows = zip(stages[0::2], stages[1::2], stages[2::2],
+                     inputs[0::2], inputs[1::2], inputs[2::2])
+    rows = _rk4_loop(len(state))(derivative, state, stage_rows, h, half, sixth)
     # the first stage time is start + 0.0, which turns -0.0 into 0.0; the
     # trace keeps start itself
     grid[0] = start

@@ -16,7 +16,8 @@ from stlfalsify.errors import (
 )
 from stlfalsify.monitor import Trace
 from stlfalsify.optim import Evaluation
-from stlfalsify.runner import falsify
+from stlfalsify.runner import ErrorPolicy, Options, StlSpecification, falsify
+from stlfalsify.stl import PredicateMap
 from stlfalsify.sut import interpolator_create
 
 ECHO_CHILD = """\
@@ -140,6 +141,40 @@ class TestExternBlackbox:
         system = extern_blackbox([str(tmp_path / "no-such-binary")], steps=2)
         with pytest.raises(SimulationError, match="could not launch"):
             system.simulate((0.5,), (), (0.0, 1.0))
+
+
+def echo_times_then(row_for):
+    """Child source that prints the requested time grid, then ``row_for(k)``
+    as the state row of the k-th timestamp."""
+    return (
+        "import sys\n"
+        "times = sys.stdin.read().splitlines()[1]\n"
+        "print(times)\n"
+        "for k in range(len(times.split())):\n"
+        f"    print({row_for})\n"
+    )
+
+
+class TestExternFaultInjection:
+    @pytest.mark.parametrize("source, timeout, error", [
+        (echo_times_then("'nan' if k == 2 else '0.5'"), 60.0, "non-finite state"),
+        (echo_times_then("'inf' if k == 2 else '0.5'"), 60.0, "non-finite state"),
+        ("pass", 60.0, "produced no output"),
+        (echo_times_then("'0.5 0.5' if k == 2 else '0.5'"), 60.0, "ragged trajectory"),
+        ("import time; time.sleep(30)", 0.5, "timed out after 0.5 s"),
+    ], ids=["nan", "inf", "silent", "ragged", "hang"])
+    def test_fault_is_a_recorded_failure(self, source, timeout, error):
+        predicates = PredicateMap(("x",))
+        predicates.add("p", (1.0,), 5.0)
+        system = extern_blackbox([sys.executable, "-c", source], steps=4, timeout=timeout)
+        options = Options(static_params=((0.0, 1.0),), iterations=2,
+                          error_policy=ErrorPolicy.RECORD_AND_CONTINUE)
+        run = falsify(StlSpecification("[] p", predicates), system,
+                      "uniform-random", options)[0]
+        assert len(run.failures) == 2
+        assert all(error in message for _, message in run.failures)
+        assert [entry.robustness for entry in run.history] == [math.inf, math.inf]
+        assert not run.falsified
 
 
 class TestLoadConfig:

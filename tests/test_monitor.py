@@ -109,6 +109,28 @@ class TestPredicateRobustness:
         with pytest.raises(ValidationError, match="expects dimension 1, state has 2"):
             evaluate(Predicate("p1"), predicates, trace)
 
+    @pytest.mark.parametrize("states, time", [
+        (((0.0, 0.0), (1e308, 1e308), (2.0, 0.0)), "t=1.0"),
+        (((1e308, 1e308), (0.0, 0.0), (2.0, 0.0)), "t=0.0"),
+    ])
+    @pytest.mark.parametrize("formula", ["[] p", "[] [0, 5] p"])
+    def test_overflowing_terms_rejected(self, states, time, formula):
+        # regression: 10*x - 10*y is inf - inf = NaN on the finite state
+        # (1e308, 1e308); "[] [0, 5] p" scored the violating first trace
+        # +0.035 (satisfied) and the second one nan
+        predicates = PredicateMap(("x", "y"))
+        predicates.add("p", (10.0, -10.0), 0.5)
+        trace = Trace((0.0, 1.0, 2.0), states)
+        with pytest.raises(TraceValidationError, match=f"predicate 'p' is NaN at {time}"):
+            evaluate(parse_formula(formula, ("x", "y")), predicates, trace)
+
+    def test_opposite_infinite_terms_in_different_samples_accepted(self):
+        # robustness -inf and +inf sum to NaN, but neither sample is NaN
+        predicates = PredicateMap(("x",))
+        predicates.add("p", (10.0,), 0.0)
+        trace = scalar_trace([1e308, -1e308])
+        assert evaluate(parse_formula("<> p", ("x",)), predicates, trace) == INF
+
 
 class TestEvaluate:
     def test_always_is_minimum_margin(self):

@@ -418,6 +418,24 @@ class TestFalsify:
             assert len(run.failures) == 5
             assert all(entry.robustness == math.inf for entry in run.history)
 
+    @pytest.mark.parametrize("policy", list(ErrorPolicy))
+    def test_nan_from_custom_specification_is_a_failure(self, policy):
+        class NanSpec:
+            def evaluate(self, trace):
+                return math.nan
+
+        options = Options(static_params=((0.0, 4.0),), iterations=5,
+                          error_policy=policy)
+        run = falsify(NanSpec(), ConstantSystem(), "uniform-random", options)[0]
+        assert not run.falsified
+        assert run.failures and all("NaN robustness" in error
+                                    for _, error in run.failures)
+        if policy is ErrorPolicy.ABORT_RUN:
+            assert run.history == () and len(run.failures) == 1
+        else:
+            assert len(run.failures) == 5
+            assert all(entry.robustness == math.inf for entry in run.history)
+
     def test_unknown_optimizer_never_simulates(self):
         system = ConstantSystem()
         with pytest.raises(ValidationError, match="unknown optimizer"):

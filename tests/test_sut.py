@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -412,10 +413,22 @@ class TestSampleWalk:
         assert signal.sample([-1.0, 0.0, 1.0, 2.0, 3.0]) == [3.5] * 5
 
 
+#: Ways a derivative may hand back its result: the loop must accept any
+#: iterable of numbers and convert it with float().
+RESULT_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda values: (value for value in values),
+    "numpy": np.array,
+    "int": lambda values: [round(value) for value in values],
+}
+
+
 @st.composite
 def random_systems(draw):
-    """A random polynomial derivative of dimension 1-3 driven by 0-2 signals."""
-    dimension = draw(st.integers(1, 3))
+    """A random polynomial derivative of dimension 0-6 driven by 0-2 signals,
+    returning its result in one of ``RESULT_FORMS``."""
+    dimension = draw(st.integers(0, 6))
     coefficient = st.floats(-2.0, 2.0, allow_nan=False)
     linear = draw(st.lists(st.lists(coefficient, min_size=dimension, max_size=dimension),
                            min_size=dimension, max_size=dimension))
@@ -430,15 +443,16 @@ def random_systems(draw):
         values = draw(st.lists(coefficient, min_size=count, max_size=count))
         signals.append(interpolator_create(kind, (start, end), values))
     weights = draw(st.lists(coefficient, min_size=len(signals), max_size=len(signals)))
+    form = RESULT_FORMS[draw(st.sampled_from(sorted(RESULT_FORMS)))]
 
     def derivative(t, state, u):
         forcing = drift * t
         for w, value in zip(weights, u):
             forcing += w * value
-        return [
+        return form([
             sum(a * x for a, x in zip(row, state)) + q * state[i] * state[i - 1] + forcing
             for i, (row, q) in enumerate(zip(linear, quadratic))
-        ]
+        ])
 
     initial = draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
                             min_size=dimension, max_size=dimension))
@@ -471,6 +485,24 @@ class TestOdeSimulateMatchesSeedLoop:
             args = (bench.system.derivative, initial, bench.options.interval,
                     signals, bench.system.step)
             assert_traces_bit_equal(ode_simulate(*args), seed_ode_simulate(*args))
+
+    def test_dimension_beyond_expression_nesting_limit(self):
+        # a left-to-right sum of this many coordinates would exceed the
+        # compiler's recursion limit
+        args = (lambda t, x, u: [-v for v in x], [1.0] * 3000, (0.0, 1.0), (), 0.5)
+        assert_traces_bit_equal(ode_simulate(*args), seed_ode_simulate(*args))
+
+    @pytest.mark.parametrize("dimension", [0, 1, 5])
+    def test_wrong_dimension_in_any_dimension(self, dimension):
+        args = (lambda t, x, u: [0.0] * (dimension + 1), [1.0] * dimension,
+                (0.0, 1.0), (), 0.25)
+        with pytest.raises(SimulationError) as raised:
+            ode_simulate(*args)
+        with pytest.raises(SimulationError) as expected:
+            seed_ode_simulate(*args)
+        assert str(raised.value) == str(expected.value) == (
+            f"derivative returned dimension {dimension + 1} for state "
+            f"dimension {dimension} at t=0.0")
 
     @staticmethod
     def failing_on(call, result):
