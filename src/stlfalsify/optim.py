@@ -115,8 +115,9 @@ class _StopSearch(Exception):
 
 class _Recorder:
     """Wraps the objective for one run: enforces the evaluation budget,
-    captures every call into the history, and under FALSIFICATION stops the
-    search right after the first negative robustness."""
+    captures every call into the history, rejects a NaN value, and under
+    FALSIFICATION stops the search right after the first negative
+    robustness."""
 
     def __init__(self, objective: Objective, space: SearchSpace, budget: int,
                  behavior: Behavior):
@@ -136,6 +137,10 @@ class _Recorder:
                 f"dimension {self.space.dimension}"
             )
         value = float(self.objective(sample))
+        if math.isnan(value):
+            # NaN compares false both ways, so it would never count as
+            # falsifying and would corrupt the best-entry search
+            raise ValidationError(f"objective returned NaN for sample {sample}")
         self.history.append(Evaluation(sample, value))
         if self.behavior is Behavior.FALSIFICATION and value < 0:
             raise _StopSearch
@@ -423,6 +428,8 @@ def optimize(
     objective call in call order, never more than ``budget`` entries; under
     FALSIFICATION its last entry is the first negative robustness found.
     ``best`` is the minimum-robustness entry, earliest call winning ties.
+    An objective value of NaN raises :class:`ValidationError` naming the
+    sample; it never reaches the history.
     """
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")

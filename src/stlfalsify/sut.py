@@ -242,8 +242,8 @@ def blackbox_simulate(func: BlackboxFunc, request: SimulationInput) -> Trace:
     The returned timestamps must be strictly increasing, trajectories must
     form one equal-length state row per timestamp, and the timestamps must
     stay inside the request's time span (tolerance 1e-9).  A function that
-    raises is reported as a :class:`SimulationError`; malformed output is a
-    :class:`TraceValidationError`.
+    raises is reported as a :class:`SimulationError`; malformed output,
+    including values ``float()`` rejects, is a :class:`TraceValidationError`.
     """
     try:
         timestamps, trajectories = func(
@@ -253,7 +253,12 @@ def blackbox_simulate(func: BlackboxFunc, request: SimulationInput) -> Trace:
         raise
     except Exception as exc:
         raise SimulationError(f"blackbox function failed: {exc!r}") from exc
-    trace = Trace(tuple(timestamps), tuple(tuple(row) for row in trajectories))
+    try:
+        trace = Trace(tuple(timestamps), tuple(tuple(row) for row in trajectories))
+    except (TypeError, ValueError, OverflowError) as exc:
+        # not iterable, or an entry float() rejects: a string, None, an
+        # integer beyond the float range
+        raise TraceValidationError(f"malformed blackbox output: {exc!r}") from exc
     if request.times:
         low = request.times[0] - 1e-9
         high = request.times[-1] + 1e-9
@@ -329,28 +334,12 @@ def rk4(derivative, state, stage_rows, h, half, sixth):
     for t, t_mid, t_next, u0, u_mid, u1 in stage_rows:
         stage_t = t
         try:
-            k = list(map(float, derivative(t, [$x], u0)))
-            try:
-                [$a] = k
-            except ValueError:
-                raise _WrongDimension(len(k)) from None
+$stage_a
             stage_t = t_mid
-            k = list(map(float, derivative(t_mid, [$x_half_a], u_mid)))
-            try:
-                [$b] = k
-            except ValueError:
-                raise _WrongDimension(len(k)) from None
-            k = list(map(float, derivative(t_mid, [$x_half_b], u_mid)))
-            try:
-                [$c] = k
-            except ValueError:
-                raise _WrongDimension(len(k)) from None
+$stage_b
+$stage_c
             stage_t = t_next
-            k = list(map(float, derivative(t_next, [$x_h_c], u1)))
-            try:
-                [$d] = k
-            except ValueError:
-                raise _WrongDimension(len(k)) from None
+$stage_d
         except _WrongDimension as wrong:
             raise SimulationError(
                 f"derivative returned dimension {wrong.args[0]} for state "
@@ -369,6 +358,22 @@ $update
     return rows
 """)
 
+# One derivative call, its result unpacked into the scalars $k as soon as
+# it returns and converted coordinate by coordinate with float(): no
+# temporary list for a tuple or list.  Any other iterable is converted while
+# it is iterated, so an entry float() rejects fails before a later error of
+# the iterator; on a wrong length the entries are converted before they are
+# counted, so a conversion error wins over the dimension error.
+_RK4_STAGE = string.Template("""\
+            k = derivative($arguments)
+            if type(k) is not tuple and type(k) is not list:
+                k = list(map(float, k))
+            try:
+                [$k] = k
+            except ValueError:
+                raise _WrongDimension(len(list(map(float, k)))) from None
+$to_float""")
+
 
 def _balanced_sum(terms: list[str]) -> str:
     """``terms`` added as a balanced tree, so the expression nests only
@@ -386,17 +391,22 @@ def _rk4_loop(dimension: int) -> Callable:
     use: ``rk4(derivative, state, stage_rows, h, half, sixth)`` returns the
     state rows at every step boundary."""
     x, a, b, c, d = ([f"{name}{i}" for i in range(dimension)] for name in "xabcd")
+
+    def stage(t, state, u, k):
+        return _RK4_STAGE.substitute(
+            arguments=f"{t}, [{', '.join(state)}], {u}",
+            k=", ".join(k),
+            to_float="\n".join(f"            {ki} = float({ki})" for ki in k),
+        )
+
     source = _RK4_TEMPLATE.substitute(
         dimension=dimension,
         x=", ".join(x),
-        a=", ".join(a),
-        b=", ".join(b),
-        c=", ".join(c),
-        d=", ".join(d),
         x_row="".join(f"{xi}, " for xi in x),
-        x_half_a=", ".join(f"{xi} + half * {ai}" for xi, ai in zip(x, a)),
-        x_half_b=", ".join(f"{xi} + half * {bi}" for xi, bi in zip(x, b)),
-        x_h_c=", ".join(f"{xi} + h * {ci}" for xi, ci in zip(x, c)),
+        stage_a=stage("t", x, "u0", a),
+        stage_b=stage("t_mid", [f"{xi} + half * {ai}" for xi, ai in zip(x, a)], "u_mid", b),
+        stage_c=stage("t_mid", [f"{xi} + half * {bi}" for xi, bi in zip(x, b)], "u_mid", c),
+        stage_d=stage("t_next", [f"{xi} + h * {ci}" for xi, ci in zip(x, c)], "u1", d),
         update="\n".join(
             f"        {xi} = {xi} + sixth * ({ai} + 2.0 * {bi} + 2.0 * {ci} + {di})"
             for xi, ai, bi, ci, di in zip(x, a, b, c, d)
@@ -421,7 +431,8 @@ def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
     steps (at least one) so both endpoints land exactly on the grid; the
     trace holds the state at every step boundary.  Each derivative call
     receives the state as a new list; its result may be any iterable of
-    numbers, is converted with ``float`` and must have the state's length.
+    numbers, is read before the next call, is converted with ``float`` and
+    must have the state's length.
     Integration aborts with a :class:`SimulationError` naming the time at
     which the state first went non-finite, or the stage time at which the
     derivative raised or returned the wrong dimension.

@@ -162,7 +162,11 @@ class TestExternFaultInjection:
         ("pass", 60.0, "produced no output"),
         (echo_times_then("'0.5 0.5' if k == 2 else '0.5'"), 60.0, "ragged trajectory"),
         ("import time; time.sleep(30)", 0.5, "timed out after 0.5 s"),
-    ], ids=["nan", "inf", "silent", "ragged", "hang"])
+        (echo_times_then("'0.5'") + "print('0.5')\n", 60.0,
+         "5 timestamps but 6 state vectors"),
+        (echo_times_then("' '.join(['0.5'] * 10**5) if k == 2 else '0.5'"), 60.0,
+         "ragged trajectory"),
+    ], ids=["nan", "inf", "silent", "ragged", "hang", "extra-row", "long-row"])
     def test_fault_is_a_recorded_failure(self, source, timeout, error):
         predicates = PredicateMap(("x",))
         predicates.add("p", (1.0,), 5.0)

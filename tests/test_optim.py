@@ -219,6 +219,20 @@ class TestOptimize:
         assert best.robustness == -math.inf
 
     @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_nan_objective_is_rejected_before_the_history(self, engine):
+        samples = []
+
+        def nan_on_third_call(sample):
+            samples.append(sample)
+            return math.nan if len(samples) == 3 else sphere(sample)
+
+        with pytest.raises(ValidationError) as raised:
+            optimize(engine, nan_on_third_call, SQUARE, budget=10,
+                     behavior=Behavior.MINIMIZATION, seed=0)
+        assert len(samples) == 3
+        assert str(raised.value) == f"objective returned NaN for sample {samples[2]}"
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_same_seed_reproduces_history(self, engine):
         def run():
             return optimize(

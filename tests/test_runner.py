@@ -449,3 +449,74 @@ class TestFalsify:
     def test_run_result_shape(self):
         results = falsify(self.spec(), ConstantSystem(), "uniform-random", STATIC_ONLY)
         assert isinstance(results[0], RunResult)
+
+
+#: Entries a blackbox may put in its output: finite numbers and everything
+#: the trace rules or float() reject.
+OUTPUT_VALUES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, None, "", "x", "0.5"]),
+)
+
+
+@st.composite
+def blackbox_outputs(draw):
+    """A valid ``(timestamps, trajectories)`` pair on [0, 1] of dimension
+    1-3, then up to three faults: a bad value, a bad timestamp, a ragged
+    row, rows added or dropped, timestamps reversed or emptied."""
+    times = sorted(set(draw(st.lists(st.floats(0.0, 1.0), max_size=6))))
+    dimension = draw(st.integers(1, 3))
+    coordinate = st.floats(-1e3, 1e3)
+    rows = [draw(st.lists(coordinate, min_size=dimension, max_size=dimension))
+            for _ in times]
+    faults = ("value", "time", "ragged", "extra-row", "drop-row", "reverse", "empty")
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=3)):
+        if fault == "value" and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row[draw(st.integers(0, dimension - 1))] = draw(OUTPUT_VALUES)
+        elif fault == "time" and times:
+            times[draw(st.integers(0, len(times) - 1))] = draw(OUTPUT_VALUES)
+        elif fault == "ragged" and rows:
+            rows[draw(st.integers(0, len(rows) - 1))].append(draw(coordinate))
+        elif fault == "extra-row":
+            rows.append(draw(st.lists(coordinate, min_size=dimension, max_size=dimension)))
+        elif fault == "drop-row" and rows:
+            rows.pop()
+        elif fault == "reverse":
+            times.reverse()
+        elif fault == "empty":
+            times, rows = [], []
+    return times, rows, dimension
+
+
+class TestBlackboxOutputs:
+    @settings(max_examples=200, deadline=None)
+    @given(blackbox_outputs())
+    def test_output_is_a_finite_trace_or_a_simulation_error(self, output):
+        times, rows, dimension = output
+        system = Blackbox(lambda static, T, U: (times, rows), steps=4)
+        try:
+            trace = system.simulate((0.5,), (), (0.0, 1.0))
+        except SimulationError:
+            trace = None
+        else:
+            assert len(trace.states) == len(trace.times) >= 1
+            assert all(a < b for a, b in zip(trace.times, trace.times[1:]))
+            assert len(set(map(len, trace.states))) == 1
+            # a ragged fault on a one-row output changes its dimension
+            dimension = trace.dimension
+            values = trace.times + tuple(v for row in trace.states for v in row)
+            assert all(type(v) is float and math.isfinite(v) for v in values)
+
+        # through the runner: a finite robustness, or a recorded failure
+        predicates = PredicateMap(tuple(f"x{i}" for i in range(dimension)))
+        predicates.add("p", (1.0,) * dimension, 0.5)
+        options = Options(static_params=((0.0, 1.0),), iterations=1,
+                          error_policy=ErrorPolicy.RECORD_AND_CONTINUE)
+        run = falsify(StlSpecification("[] p", predicates), system,
+                      "uniform-random", options)[0]
+        (entry,) = run.history
+        if trace is None:
+            assert len(run.failures) == 1 and entry.robustness == math.inf
+        else:
+            assert run.failures == () and math.isfinite(entry.robustness)

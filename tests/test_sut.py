@@ -413,6 +413,23 @@ class TestSampleWalk:
         assert signal.sample([-1.0, 0.0, 1.0, 2.0, 3.0]) == [3.5] * 5
 
 
+class WrongArithmetic(float):
+    """A float whose own arithmetic is wrong: only ``float()`` of it gives
+    the right value, so a stage result used unconverted shows."""
+
+    def __add__(self, other):
+        return math.nan
+
+    __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __add__
+
+
+def float32_array(values):
+    # float32 overflows to inf before float64 does; the integrator reports
+    # that as a non-finite state, so the cast warning is noise
+    with np.errstate(over="ignore"):
+        return np.array(values, dtype=np.float32)
+
+
 #: Ways a derivative may hand back its result: the loop must accept any
 #: iterable of numbers and convert it with float().
 RESULT_FORMS = {
@@ -420,7 +437,9 @@ RESULT_FORMS = {
     "tuple": tuple,
     "generator": lambda values: (value for value in values),
     "numpy": np.array,
+    "numpy-float32": float32_array,
     "int": lambda values: [round(value) for value in values],
+    "float-subclass": lambda values: [WrongArithmetic(value) for value in values],
 }
 
 
@@ -492,6 +511,28 @@ class TestOdeSimulateMatchesSeedLoop:
         args = (lambda t, x, u: [-v for v in x], [1.0] * 3000, (0.0, 1.0), (), 0.5)
         assert_traces_bit_equal(ode_simulate(*args), seed_ode_simulate(*args))
 
+    @pytest.mark.parametrize("form", sorted(RESULT_FORMS))
+    def test_states_are_exact_floats(self, form):
+        convert = RESULT_FORMS[form]
+        args = (lambda t, x, u: convert([x[1] + u[0], -x[0]]), [1.0, 0.5], (0.0, 2.0),
+                [interpolator_create("piecewise-linear", (0.0, 2.0), [0.3, -0.7])], 0.25)
+        trace = ode_simulate(*args)
+        assert_traces_bit_equal(trace, seed_ode_simulate(*args))
+        assert {type(value) for row in trace.states for value in row} == {float}
+
+    def test_result_list_mutated_after_return(self):
+        # one list, returned by every call and overwritten by the next: each
+        # stage must read its values before the next call
+        shared = [0.0, 0.0]
+
+        def derivative(t, state, u):
+            shared[0], shared[1] = state[1], -state[0] - 0.1 * state[1] + u[0]
+            return shared
+
+        signal = interpolator_create("piecewise-constant", (0.0, 3.0), [0.2, -0.1, 0.4])
+        args = (derivative, [0.9, 0.0], (0.0, 3.0), [signal], 0.05)
+        assert_traces_bit_equal(ode_simulate(*args), seed_ode_simulate(*args))
+
     @pytest.mark.parametrize("dimension", [0, 1, 5])
     def test_wrong_dimension_in_any_dimension(self, dimension):
         args = (lambda t, x, u: [0.0] * (dimension + 1), [1.0] * dimension,
@@ -547,6 +588,40 @@ class TestOdeSimulateMatchesSeedLoop:
         assert message == self.error_of(seed_ode_simulate, self.failing_on(call, wrong))
         assert message == (f"derivative returned dimension {length} for state "
                            f"dimension 2 at {stage_time}")
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_dimension_from_a_generator(self, length):
+        # a generator has no length until it is consumed
+        def wrong():
+            return (0.0 for _ in range(length))
+
+        message = self.error_of(ode_simulate, self.failing_on(3, wrong))
+        assert message == self.error_of(seed_ode_simulate, self.failing_on(3, wrong))
+        assert message == (f"derivative returned dimension {length} for state "
+                           f"dimension 2 at t=0.125")
+
+    @pytest.mark.parametrize("result", [
+        lambda: [0.0, 0.0, "x"],
+        lambda: ["x"],
+        lambda: (value for value in (0.0, 0.0, None)),
+        lambda: iter(["x"]),
+    ], ids=["long-list", "short-list", "long-generator", "short-iterator"])
+    def test_conversion_error_wins_over_wrong_dimension(self, result):
+        message = self.error_of(ode_simulate, self.failing_on(2, result))
+        assert message == self.error_of(seed_ode_simulate, self.failing_on(2, result))
+        assert message.startswith("derivative function failed at t=0.125: ")
+
+    def test_iterator_converted_while_iterated(self):
+        # the element that float() rejects comes before the iterator's own
+        # failure, so the conversion error is the one reported
+        def result():
+            yield "x"
+            raise RuntimeError("iterator failed")
+
+        message = self.error_of(ode_simulate, self.failing_on(1, result))
+        assert message == self.error_of(seed_ode_simulate, self.failing_on(1, result))
+        assert message == ("derivative function failed at t=0.0: "
+                           "ValueError(\"could not convert string to float: 'x'\")")
 
     def test_non_finite_state_names_the_step_end(self):
         def blow_up():
