@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import mul
+from functools import reduce
+from itertools import chain, repeat
+from operator import add, mul, sub, truediv
 from typing import Sequence
 
 from .errors import TraceValidationError, ValidationError
@@ -41,6 +42,10 @@ __all__ = ["Trace", "predicate_robustness", "evaluate", "evaluate_boolean"]
 
 _INF = math.inf
 
+#: Row containers converted in one pass over all their entries; rows of any
+#: other form are converted row by row while they are iterated.
+_SEQUENCES = frozenset((tuple, list))
+
 
 @dataclass(frozen=True)
 class Trace:
@@ -57,23 +62,33 @@ class Trace:
 
     def __post_init__(self):
         times = tuple(map(float, self.times))
-        states = tuple(tuple(map(float, row)) for row in self.states)
+        rows = self.states
+        if not (type(rows) in _SEQUENCES and set(map(type, rows)) <= _SEQUENCES):
+            # a generator row must be converted while it is iterated, so an
+            # entry float() rejects fails before the generator's own error
+            rows = tuple(tuple(map(float, row)) for row in rows)
+        # every entry in row order, through the same float() as row by row
+        flat = tuple(map(float, chain.from_iterable(rows)))
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
         if not times:
             raise TraceValidationError("trace must contain at least one sample")
-        if len(states) != len(times):
+        if len(rows) != len(times):
             raise TraceValidationError(
-                f"{len(times)} timestamps but {len(states)} state vectors"
+                f"{len(times)} timestamps but {len(rows)} state vectors"
             )
         for earlier, later in zip(times, times[1:]):
             if not later > earlier:
                 raise TraceValidationError(
                     f"non-monotone timestamps: {later} follows {earlier}"
                 )
-        dimension = len(states[0])
-        if set(map(len, states)) != {dimension}:
+        dimension = len(rows[0])
+        if set(map(len, rows)) != {dimension}:
             raise TraceValidationError("ragged trajectory: state dimensions differ")
+        if dimension:
+            states = tuple(zip(*[iter(flat)] * dimension))
+        else:
+            states = ((),) * len(rows)
+        object.__setattr__(self, "states", states)
         # strictly increasing, so only the ends can be infinite; a NaN would
         # have failed the ordering check unless it is the only timestamp
         if not (math.isfinite(times[0]) and math.isfinite(times[-1])):
@@ -82,7 +97,7 @@ class Trace:
             )
         # a finite sum implies finite terms; only an overflowing sum needs
         # the per-element check
-        if not math.isfinite(sum(chain.from_iterable(states))):
+        if not math.isfinite(sum(flat)):
             for t, row in zip(times, states):
                 if not all(map(math.isfinite, row)):
                     raise TraceValidationError(f"non-finite state {row} at t={t}")
@@ -103,8 +118,10 @@ def predicate_robustness(predicate: LinearPredicate, state: Sequence[float]) -> 
             f"predicate {predicate.name!r} expects dimension "
             f"{len(predicate.coefficients)}, state has {len(state)}"
         )
-    margin = predicate.bound - sum(map(mul, predicate.coefficients, map(float, state)))
-    return margin / predicate.norm
+    # a left fold from 0.0, not sum(): from Python 3.12 a float sum is
+    # compensated and can differ in the last bit
+    total = reduce(add, map(mul, predicate.coefficients, map(float, state)), 0.0)
+    return (predicate.bound - total) / predicate.norm
 
 
 def _resolve(node: Predicate, predicates: PredicateMap | None) -> LinearPredicate:
@@ -202,13 +219,17 @@ def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
         pred = _resolve(formula, predicates)
         coefficients, bound, norm = pred.coefficients, pred.bound, pred.norm
         if trace.dimension != len(coefficients):
-            raise ValidationError(
+            # the system returned the wrong dimension: a simulation fault
+            raise TraceValidationError(
                 f"predicate {pred.name!r} expects dimension "
                 f"{len(coefficients)}, state has {trace.dimension}"
             )
-        # the arithmetic of predicate_robustness, one dimension check per trace
-        signal = [(bound - sum(map(mul, coefficients, state))) / norm
-                  for state in trace.states]
+        # the arithmetic of predicate_robustness a column at a time: the
+        # products are added left to right from 0.0 at every sample
+        total = repeat(0.0, n)
+        for c, column in zip(coefficients, zip(*trace.states)):
+            total = map(add, total, map(mul, repeat(c), column))
+        signal = list(map(truediv, map(sub, repeat(bound), total), repeat(norm)))
         # finite states whose terms overflow with opposite signs give
         # inf - inf; a NaN would slip through the min/max folds, so reject
         # it.  A sum without NaN has no NaN term.

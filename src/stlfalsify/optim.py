@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -239,8 +241,11 @@ def _nelder_mead(
             simplex.sort(key=lambda entry: entry[1])
             best, worst = simplex[0], simplex[-1]
             second_worst = simplex[-2]
+            # a left fold from 0.0, not sum(): from Python 3.12 a float sum
+            # is compensated, and reruns must match on every version
             centroid = tuple(
-                sum(point[k] for point, _ in simplex[:-1]) / n for k in range(n)
+                reduce(add, column, 0.0) / n
+                for column in zip(*(point for point, _ in simplex[:-1]))
             )
 
             reflected = space.clamp(

@@ -310,9 +310,27 @@ class Blackbox:
         return blackbox_simulate(self.func, request)
 
 
+@functools.lru_cache(maxsize=32)
 def _grid(start: float, end: float, steps: int) -> tuple[float, ...]:
+    """``steps + 1`` evenly spaced times from ``start`` to ``end``.
+
+    Cached: a campaign asks for the same grid on every call.  ``-0.0`` and
+    ``0.0`` share an entry, which is safe because the first point is
+    ``start + 0.0``, ``0.0`` for both."""
     span = end - start
     return tuple(start + span * k / steps for k in range(steps + 1))
+
+
+@functools.lru_cache(maxsize=32)
+def _stage_times(start: float, end: float, steps: int) -> tuple[float, ...]:
+    """RK4 stage times in order: grid[0], mid[0], grid[1], mid[1], ...,
+    grid[steps], where mid[k] = grid[k] + h / 2."""
+    grid = _grid(start, end, steps)
+    half = (end - start) / steps / 2.0
+    stages = [0.0] * (2 * steps + 1)
+    stages[0::2] = grid
+    stages[1::2] = [t + half for t in grid[:-1]]
+    return tuple(stages)
 
 
 DerivativeFunc = Callable[[float, Sequence[float], Sequence[float]], Sequence[float]]
@@ -448,12 +466,9 @@ def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
     half = h / 2.0
     sixth = h / 6.0
 
-    grid = [start + span * k / steps for k in range(steps + 1)]
-    # stage times in order: grid[0], mid[0], grid[1], mid[1], ..., grid[steps];
-    # every signal is sampled once at each of them
-    stages = [0.0] * (2 * steps + 1)
-    stages[0::2] = grid
-    stages[1::2] = [t + half for t in grid[:-1]]
+    grid = _grid(start, end, steps)
+    # every signal is sampled once at each stage time
+    stages = _stage_times(start, end, steps)
     if signals:
         inputs = list(map(list, zip(*(s.sample(stages) for s in signals))))
     else:
@@ -465,8 +480,7 @@ def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
     rows = _rk4_loop(len(state))(derivative, state, stage_rows, h, half, sixth)
     # the first stage time is start + 0.0, which turns -0.0 into 0.0; the
     # trace keeps start itself
-    grid[0] = start
-    return Trace(tuple(grid), tuple(rows))
+    return Trace((start,) + grid[1:], tuple(rows))
 
 
 class OdeSystem:

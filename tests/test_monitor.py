@@ -106,7 +106,8 @@ class TestPredicateRobustness:
         predicates = PredicateMap(("x",))
         predicates.add("p1", (1.0,), 5.0)
         trace = Trace((0.0, 1.0), ((1.0, 2.0), (3.0, 4.0)))
-        with pytest.raises(ValidationError, match="expects dimension 1, state has 2"):
+        # a system fault, handled by the error policy
+        with pytest.raises(TraceValidationError, match="expects dimension 1, state has 2"):
             evaluate(Predicate("p1"), predicates, trace)
 
     @pytest.mark.parametrize("states, time", [

@@ -173,14 +173,16 @@ def test_sliding_windows_match_naive_bit_for_bit(scenario):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_predicate_signal_matches_predicate_robustness(data):
-    dimension = data.draw(st.integers(1, 4))
+    dimension = data.draw(st.integers(1, 6))
     coefficient = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from((0.0, -0.0))
     coefficients = data.draw(
         st.lists(coefficient, min_size=dimension, max_size=dimension).filter(
             lambda cs: any(c != 0.0 for c in cs)
         )
     )
-    predicate = LinearPredicate("p", coefficients, data.draw(st.floats(-5.0, 5.0)))
+    bound = st.floats(-5.0, 5.0) | st.sampled_from((0.0, -0.0))
+    predicate = LinearPredicate("p", coefficients, data.draw(bound))
+    # a signed zero times a coefficient gives -0.0 products
     value = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from((0.0, -0.0))
     n = data.draw(st.integers(1, 8))
     states = data.draw(
@@ -198,3 +200,9 @@ def test_predicate_signal_matches_predicate_robustness(data):
             evaluate(formula, predicates, trace, at=anchor),
             predicate_robustness(predicate, state),
         )
+        # both are the products added left to right from 0.0
+        total = 0.0
+        for c, x in zip(predicate.coefficients, state):
+            total += c * x
+        assert bit_equal(predicate_robustness(predicate, state),
+                         (predicate.bound - total) / predicate.norm)

@@ -1,11 +1,14 @@
 """Search engines: stepping primitives, budget accounting, reproducibility."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stlfalsify import get_benchmark, monitor, optim
 from stlfalsify.errors import ValidationError
+from stlfalsify.monitor import Trace, evaluate, predicate_robustness
 from stlfalsify.optim import (
     ENGINES,
     Basinhopping,
@@ -22,6 +25,8 @@ from stlfalsify.optim import (
     optimize,
     uniform_random_step,
 )
+from stlfalsify.runner import falsify
+from stlfalsify.stl import LinearPredicate, Predicate
 
 UNIT = SearchSpace(((0.0, 1.0),))
 SQUARE = SearchSpace(((-1.0, 1.0), (-1.0, 1.0)))
@@ -366,3 +371,32 @@ class TestCreateEngine:
             create_engine("basinhopping", {"hop_radius": 2.0})
         with pytest.raises(ValidationError):
             create_engine("basinhopping", {"local_budget": 0})
+
+
+class TestSummationOrder:
+    """From Python 3.12 a float ``sum`` is compensated: values that came from
+    one would change with the interpreter.  With ``sum`` replaced by the
+    exactly rounded ``math.fsum`` in both modules, nothing may change."""
+
+    @staticmethod
+    def outcomes():
+        bench = get_benchmark("oscillator")
+        options = dataclasses.replace(bench.options, iterations=120, seed=7,
+                                      behavior=Behavior.MINIMIZATION)
+        (run,) = falsify(bench.specification(), bench.system, "basinhopping", options)
+        # left to right, 0.1 + 0.2 + 0.3 is 0.6000000000000001; exactly
+        # rounded it is 0.6
+        predicate = LinearPredicate("p", (1.0, 1.0, 1.0), -0.0)
+        state = (0.1, 0.2, 0.3)
+        trace = Trace((0.0, 1.0), (state, state[::-1]))
+        values = [predicate_robustness(predicate, state)]
+        values += [evaluate(Predicate("p", predicate), None, trace, at=k) for k in (0, 1)]
+        return run.history, values
+
+    def test_compensated_sum_changes_nothing(self, monkeypatch):
+        expected = self.outcomes()
+        assert len(expected[0]) == 120 and len(expected[0][0].sample) == 5
+        monkeypatch.setattr(optim, "sum", math.fsum, raising=False)
+        monkeypatch.setattr(monitor, "sum", math.fsum, raising=False)
+        # repr is exact for floats and tells -0.0 from 0.0
+        assert repr(self.outcomes()) == repr(expected)

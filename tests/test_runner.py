@@ -463,17 +463,20 @@ OUTPUT_VALUES = st.one_of(
 def blackbox_outputs(draw):
     """A valid ``(timestamps, trajectories)`` pair on [0, 1] of dimension
     1-3, then up to three faults: a bad value, a bad timestamp, a ragged
-    row, rows added or dropped, timestamps reversed or emptied."""
+    row, rows added or dropped, timestamps reversed or emptied, every row
+    one coordinate wider or narrower than the predicates expect."""
     times = sorted(set(draw(st.lists(st.floats(0.0, 1.0), max_size=6))))
     dimension = draw(st.integers(1, 3))
     coordinate = st.floats(-1e3, 1e3)
     rows = [draw(st.lists(coordinate, min_size=dimension, max_size=dimension))
             for _ in times]
-    faults = ("value", "time", "ragged", "extra-row", "drop-row", "reverse", "empty")
+    faults = ("value", "time", "ragged", "extra-row", "drop-row", "reverse", "empty",
+              "wide", "narrow")
     for fault in draw(st.lists(st.sampled_from(faults), max_size=3)):
         if fault == "value" and rows:
             row = rows[draw(st.integers(0, len(rows) - 1))]
-            row[draw(st.integers(0, dimension - 1))] = draw(OUTPUT_VALUES)
+            if row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(OUTPUT_VALUES)
         elif fault == "time" and times:
             times[draw(st.integers(0, len(times) - 1))] = draw(OUTPUT_VALUES)
         elif fault == "ragged" and rows:
@@ -486,6 +489,10 @@ def blackbox_outputs(draw):
             times.reverse()
         elif fault == "empty":
             times, rows = [], []
+        elif fault == "wide":
+            rows = [row + [draw(coordinate)] for row in rows]
+        elif fault == "narrow":
+            rows = [row[:-1] for row in rows]
     return times, rows, dimension
 
 
@@ -503,12 +510,13 @@ class TestBlackboxOutputs:
             assert len(trace.states) == len(trace.times) >= 1
             assert all(a < b for a, b in zip(trace.times, trace.times[1:]))
             assert len(set(map(len, trace.states))) == 1
-            # a ragged fault on a one-row output changes its dimension
-            dimension = trace.dimension
             values = trace.times + tuple(v for row in trace.states for v in row)
             assert all(type(v) is float and math.isfinite(v) for v in values)
 
-        # through the runner: a finite robustness, or a recorded failure
+        # through the runner: a finite robustness, or a recorded failure.  A
+        # trace of another width than the predicates' (a width fault, or a
+        # ragged fault on a one-row output) is a system fault too.
+        fails = trace is None or trace.dimension != dimension
         predicates = PredicateMap(tuple(f"x{i}" for i in range(dimension)))
         predicates.add("p", (1.0,) * dimension, 0.5)
         options = Options(static_params=((0.0, 1.0),), iterations=1,
@@ -516,7 +524,7 @@ class TestBlackboxOutputs:
         run = falsify(StlSpecification("[] p", predicates), system,
                       "uniform-random", options)[0]
         (entry,) = run.history
-        if trace is None:
+        if fails:
             assert len(run.failures) == 1 and entry.robustness == math.inf
         else:
             assert run.failures == () and math.isfinite(entry.robustness)

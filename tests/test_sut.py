@@ -634,3 +634,58 @@ class TestOdeSimulateMatchesSeedLoop:
     def test_finite_state_with_overflowing_sum_continues(self):
         trace = ode_simulate(lambda t, x, u: (0.0, 0.0), (1e308, 1e308), (0.0, 1.0), (), 0.5)
         assert trace.states[-1] == (1e308, 1e308)
+
+
+class TestCachedGrids:
+    """The time grid and the RK4 stage times are cached per interval and
+    step count; every call must still see what the uncached formulas give."""
+
+    @staticmethod
+    def recorded(simulate, interval, step):
+        """The trace and every stage time the derivative was called at."""
+        stage_times = []
+
+        def derivative(t, state, u):
+            stage_times.append(t)
+            return [state[1] + u[0], -state[0] + 0.5 * t]
+
+        signal = interpolator_create("piecewise-linear", interval, [0.4, -0.3, 0.8])
+        trace = simulate(derivative, [1.0, 0.0], interval, [signal], step)
+        return trace, stage_times
+
+    def assert_matches_seed(self, interval, step):
+        trace, stage_times = self.recorded(ode_simulate, interval, step)
+        expected, expected_times = self.recorded(seed_ode_simulate, interval, step)
+        assert_traces_bit_equal(trace, expected)
+        assert len(stage_times) == len(expected_times)
+        assert all(map(bit_equal, stage_times, expected_times))
+
+    def test_interval_starting_at_negative_zero(self):
+        # -0.0 and 0.0 share a cache entry, whichever comes first; the
+        # trace keeps start itself
+        for start in (-0.0, 0.0, -0.0, 0.0, -0.0):
+            self.assert_matches_seed((start, 2.75), 0.125)
+        trace, _ = self.recorded(ode_simulate, (-0.0, 2.75), 0.125)
+        assert math.copysign(1.0, trace.times[0]) == -1.0
+
+    def test_one_interval_with_two_step_sizes(self):
+        for step in (0.25, 0.1, 0.25, 0.1):
+            self.assert_matches_seed((-1.0, 1.5), step)
+
+    @pytest.mark.parametrize("interpolate", [True, False])
+    def test_blackbox_request_times(self, interpolate):
+        requests = []
+
+        def record(static, times, signal_rows):
+            requests.append(times)
+            return times, [(0.0,)] * len(times)
+
+        system = Blackbox(record, steps=7, interpolate=interpolate)
+        intervals = ((-0.0, 1.25), (0.0, 1.25), (-0.0, 1.25), (-1.5, 2.5), (0.0, 1.25))
+        for start, end in intervals:
+            signal = interpolator_create("piecewise-constant", (start, end), [1.0] * 4)
+            system.simulate((), (signal,), (start, end))
+            steps = 7 if interpolate else 3
+            expected = tuple(start + (end - start) * k / steps for k in range(steps + 1))
+            assert len(requests[-1]) == len(expected)
+            assert all(map(bit_equal, requests[-1], expected))
