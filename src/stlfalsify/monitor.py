@@ -132,22 +132,27 @@ def _resolve(node: Predicate, predicates: PredicateMap | None) -> LinearPredicat
     return predicates.resolve(node.name)
 
 
-def _window_indices(times: tuple[float, ...], anchor: int,
-                    bound: TimeBound | None) -> range:
-    """Sample indices j with ``times[j] - times[anchor]`` inside the bound.
-
-    The window is contiguous because timestamps are strictly increasing and
-    bounds are non-negative."""
-    if bound is None:
-        return range(anchor, len(times))
-    base = times[anchor]
-    start = anchor
-    while start < len(times) and times[start] - base < bound.lower:
-        start += 1
-    stop = start
-    while stop < len(times) and times[stop] - base <= bound.upper:
-        stop += 1
-    return range(start, stop)
+def _window_bounds(times: tuple[float, ...],
+                   bound: TimeBound) -> tuple[list[int], list[int]]:
+    """``[starts[i], stops[i])``: the samples whose offset from anchor ``i``
+    lies inside the bound.  Timestamps increase and bounds are non-negative,
+    so both ends only move forward: two pointers, O(n) over all anchors."""
+    n = len(times)
+    lower, upper = bound.lower, bound.upper
+    starts, stops = [0] * n, [0] * n
+    start = stop = 0
+    for i in range(n):
+        base = times[i]
+        if start < i:
+            start = i
+        while start < n and times[start] - base < lower:
+            start += 1
+        if stop < start:
+            stop = start
+        while stop < n and times[stop] - base <= upper:
+            stop += 1
+        starts[i], stops[i] = start, stop
+    return starts, stops
 
 
 def _suffix_extrema(values: list[float], minimize: bool) -> list[float]:
@@ -165,33 +170,20 @@ def _suffix_extrema(values: list[float], minimize: bool) -> list[float]:
     return out
 
 
-def _window_extrema(values: list[float], times: tuple[float, ...],
-                    bound: TimeBound | None, minimize: bool) -> list[float]:
-    """Per-anchor min/max of ``values`` over each anchor's time window.
-
-    Unbounded windows are suffixes; bounded ones use a monotone-deque
-    sliding window, O(n) over all anchors.  Strict popping keeps the
-    earliest of equal values, the tie rule of a left fold over the window.
-    """
-    if bound is None:
-        return _suffix_extrema(values, minimize)
-    n = len(values)
-    lower, upper = bound.lower, bound.upper
-    out = [0.0] * n
+def _sliding_extrema(values: list[float], starts: Sequence[int],
+                     stops: Sequence[int], minimize: bool) -> list[float]:
+    """Min/max of ``values[starts[i]:stops[i]]`` for every ``i``, +inf/-inf
+    when empty.  Both ends never decrease, so a monotone deque (Lemire 2006)
+    is O(n) overall; strict popping keeps the earliest of equal values, the
+    tie rule of a left fold over the range."""
+    out = []
+    empty = _INF if minimize else -_INF
     deque_idx: list[int] = []   # candidate indices, extremum at the front
-    head = 0
-    start = stop = 0
-    for i in range(n):
-        base = times[i]
-        if start < i:
-            start = i
-        while start < n and times[start] - base < lower:
-            start += 1
+    head = stop = 0
+    for start, end in zip(starts, stops):
         if stop < start:
-            stop = start
-            deque_idx = []
-            head = 0
-        while stop < n and times[stop] - base <= upper:
+            stop = start  # what the deque still holds lies before start
+        while stop < end:
             value = values[stop]
             if minimize:
                 while len(deque_idx) > head and values[deque_idx[-1]] > value:
@@ -203,10 +195,59 @@ def _window_extrema(values: list[float], times: tuple[float, ...],
             stop += 1
         while head < len(deque_idx) and deque_idx[head] < start:
             head += 1
-        if head < len(deque_idx):
-            out[i] = values[deque_idx[head]]
-        else:
-            out[i] = _INF if minimize else -_INF
+        out.append(values[deque_idx[head]] if head < len(deque_idx) else empty)
+    return out
+
+
+def _until_signal(left: list[float], right: list[float], times: tuple[float, ...],
+                  bound: TimeBound | None) -> list[float]:
+    """Robustness of ``left U right`` at every anchor in amortised O(n).
+
+    Sample ``j`` acts as ``f_j(x) = max(right[j], min(left[j], x))``.  The
+    unbounded form is ``f_i(f_{i+1}(... f_{n-1}(-inf)))``, one backward
+    recurrence.  The bounded form is ``min(pre_i, W_i)``: ``pre_i`` is the
+    minimum of ``left`` from ``i`` up to the window, and ``W_i`` applies the
+    window's maps to -inf.  A composed map is a pair ``(A, B)`` for
+    ``x -> max(A, min(B, x))``, held in a two-stack sliding queue (Donze,
+    Ferrere and Maler, CAV 2013).  Every min and max keeps its first,
+    earlier operand on a tie, the tie rule of a per-anchor fold."""
+    n = len(left)
+    out = [-_INF] * n
+    if bound is None:
+        acc = -_INF
+        for i in range(n - 1, -1, -1):
+            l, r = left[i], right[i]
+            m = l if l <= acc else acc
+            acc = out[i] = r if r >= m else m
+        return out
+    starts, stops = _window_bounds(times, bound)
+    pre = _sliding_extrema(left, range(n), starts, minimize=True)
+    # front_a/b[k]: the pair of f_k o ... o f_{mid-1}; back: that of [mid, end)
+    front_a, front_b = [0.0] * n, [0.0] * n
+    mid = end = 0
+    back_a, back_b = -_INF, _INF
+    for i, (start, stop, p) in enumerate(zip(starts, stops, pre)):
+        while end < stop:  # back o f_end
+            l, r = left[end], right[end]
+            m = back_b if back_b <= r else r
+            back_a = back_a if back_a >= m else m
+            back_b = back_b if back_b <= l else l
+            end += 1
+        if start == stop:
+            continue  # empty window: -inf
+        if start >= mid:  # the front is empty: move [start, end) onto it
+            a, b = -_INF, _INF
+            for k in range(end - 1, start - 1, -1):  # f_k o (a, b)
+                l, r = left[k], right[k]
+                m = l if l <= a else a
+                a = front_a[k] = r if r >= m else m
+                b = front_b[k] = l if l <= b else b
+            mid = end
+            back_a, back_b = -_INF, _INF
+        a, b = front_a[start], front_b[start]
+        m = b if b <= back_a else back_a
+        w = a if a >= m else m
+        out[i] = p if p <= w else w
     return out
 
 
@@ -260,31 +301,17 @@ def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
     if isinstance(formula, Next):
         child = _robustness_signal(formula.child, predicates, trace)
         return child[1:] + [-_INF]
-    if isinstance(formula, Eventually):
+    if isinstance(formula, (Eventually, Always)):
         child = _robustness_signal(formula.child, predicates, trace)
-        return _window_extrema(child, trace.times, formula.bound, minimize=False)
-    if isinstance(formula, Always):
-        child = _robustness_signal(formula.child, predicates, trace)
-        return _window_extrema(child, trace.times, formula.bound, minimize=True)
+        minimize = isinstance(formula, Always)
+        if formula.bound is None:
+            return _suffix_extrema(child, minimize)
+        starts, stops = _window_bounds(trace.times, formula.bound)
+        return _sliding_extrema(child, starts, stops, minimize)
     if isinstance(formula, Until):
         left = _robustness_signal(formula.left, predicates, trace)
         right = _robustness_signal(formula.right, predicates, trace)
-        out = []
-        for i in range(n):
-            window = _window_indices(trace.times, i, formula.bound)
-            prefix = _INF  # min of left over i <= k < j, strict at j
-            for k in range(i, window.start):
-                if left[k] < prefix:
-                    prefix = left[k]
-            best = -_INF
-            for j in window:
-                candidate = right[j] if right[j] < prefix else prefix
-                if candidate > best:
-                    best = candidate
-                if left[j] < prefix:
-                    prefix = left[j]
-            out.append(best)
-        return out
+        return _until_signal(left, right, trace.times, formula.bound)
     raise ValidationError(f"not a formula node: {formula!r}")
 
 

@@ -109,11 +109,11 @@ class Interpolator:
             )
 
     def at(self, t: float) -> float:
-        raise NotImplementedError
+        return self.sample((t,))[0]
 
     def sample(self, times: Sequence[float]) -> list[float]:
-        """``[self.at(t) for t in times]`` bit for bit, computed in one walk
-        over the control times: linear in ``len(times)`` when ``times`` is
+        """The signal at each of ``times``, computed in one walk over the
+        control times: linear in ``len(times)`` when ``times`` is
         non-decreasing, as the integrator's stage times are."""
         raise NotImplementedError
 
@@ -129,18 +129,6 @@ class PiecewiseConstant(Interpolator):
             raise ValidationError("piecewise-constant signal needs at least 1 value")
         super().__init__(interval, values)
 
-    def at(self, t: float) -> float:
-        times = self.control_times
-        # rightmost control time <= t
-        low, high = 0, len(times) - 1
-        while low < high:
-            mid = (low + high + 1) // 2
-            if times[mid] <= t:
-                low = mid
-            else:
-                high = mid - 1
-        return self.control_values[low]
-
     def sample(self, times: Sequence[float]) -> list[float]:
         control = self.control_times
         values = self.control_values
@@ -148,7 +136,7 @@ class PiecewiseConstant(Interpolator):
         low = 0
         out = []
         for t in times:
-            # same result as at(): rightmost control time <= t, else index 0
+            # rightmost control time <= t, else index 0
             while low < last and control[low + 1] <= t:
                 low += 1
             while low > 0 and control[low] > t:
@@ -167,24 +155,6 @@ class PiecewiseLinear(Interpolator):
             raise ValidationError("piecewise-linear signal needs at least 2 values")
         super().__init__(interval, values)
 
-    def at(self, t: float) -> float:
-        times = self.control_times
-        values = self.control_values
-        if t <= times[0]:
-            return values[0]
-        if t >= times[-1]:
-            return values[-1]
-        low, high = 0, len(times) - 1
-        while high - low > 1:
-            mid = (low + high) // 2
-            if times[mid] <= t:
-                low = mid
-            else:
-                high = mid
-        span = times[high] - times[low]
-        weight = (t - times[low]) / span
-        return values[low] + weight * (values[high] - values[low])
-
     def sample(self, times: Sequence[float]) -> list[float]:
         control = self.control_times
         values = self.control_values
@@ -197,7 +167,7 @@ class PiecewiseLinear(Interpolator):
             elif t >= last:
                 out.append(values[-1])
             else:
-                # same bracket as at(): control[low] <= t < control[low + 1]
+                # the bracket control[low] <= t < control[low + 1]
                 while control[low + 1] <= t:
                     low += 1
                 while control[low] > t:

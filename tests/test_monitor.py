@@ -1,6 +1,7 @@
 """Robustness evaluation over sampled traces: unit anchors."""
 
 import math
+import time
 
 import pytest
 
@@ -238,6 +239,22 @@ class TestEvaluate:
         fast = evaluate(formula, predicates, trace)
         naive = naive_evaluate(formula, predicates, trace)
         assert fast == naive
+
+    def test_until_is_linear_time(self):
+        # a sawtooth of period 100 samples keeps both operands switching; a
+        # quadratic scan of the unbounded form takes many seconds at this size
+        n = 20_000
+        trace = scalar_trace([(k % 100) / 100.0 for k in range(n)],
+                             times=[k / 100.0 for k in range(n)])
+        predicates = PredicateMap(("x",))
+        predicates.add("low", (1.0,), 0.9)
+        predicates.add("high", (-1.0,), -0.8)
+        formulas = [Until(Predicate("low"), Predicate("high"), bound)
+                    for bound in (None, TimeBound(0.0, 1.0))]
+        started = time.perf_counter()
+        for formula in formulas:
+            evaluate(formula, predicates, trace)
+        assert time.perf_counter() - started < 2.0
 
 
 class TestEvaluateBoolean:

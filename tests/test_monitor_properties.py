@@ -9,10 +9,11 @@ sliding-window and suffix-scan paths to match the naive oracle in
 """
 
 import math
+from itertools import accumulate
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from naive_monitor import naive_evaluate
+from naive_monitor import naive_evaluate, naive_signal
 from stlfalsify.monitor import Trace, evaluate, evaluate_boolean, predicate_robustness
 from stlfalsify.stl import (
     Always,
@@ -206,3 +207,94 @@ def test_predicate_signal_matches_predicate_robustness(data):
             total += c * x
         assert bit_equal(predicate_robustness(predicate, state),
                          (predicate.bound - total) / predicate.norm)
+
+
+VARIABLES = ("x0", "x1", "x2", "x3")
+
+
+@st.composite
+def tie_heavy_untils(draw, max_samples=40):
+    """An ``until`` over signals full of ties.
+
+    States in {-1, 0, 1} and integer coefficients with bound 0 give exact
+    zeros and repeated values, ``Not`` turns ``0.0`` into ``-0.0``, and a
+    window past the trace end or ``next`` at the last sample gives +-inf.
+    Times lie on a 0.5 s grid, so window edges land exactly on sample
+    offsets."""
+    predicates = PredicateMap(VARIABLES)
+    # one variable each, so every value is exactly -1, 0.0 or 1 ...
+    for k in range(4):
+        coefficients = [0.0] * 4
+        coefficients[k] = float(draw(st.sampled_from((1, -1, 2, -3))))
+        predicates.add(f"p{k}", coefficients, 0.0)
+    # ... and one over all of them
+    predicates.add("p4", draw(st.lists(st.integers(-2, 2).map(float), min_size=4,
+                                       max_size=4).filter(any)), 0.0)
+    offset = st.integers(0, 6).map(lambda k: k / 2.0)
+    window = st.tuples(offset, offset).map(lambda t: TimeBound(t[0], t[0] + t[1]))
+    atom = st.sampled_from(("p0", "p1", "p2", "p3", "p4")).map(Predicate)
+    literal = atom | atom.map(Not)
+    signal = st.one_of(
+        literal,
+        literal.map(Next),
+        st.tuples(literal, window).map(lambda t: Always(*t)),
+        st.tuples(literal, window).map(lambda t: Eventually(*t)),
+    )
+    # a min or max of two signals mixes 0.0 and -0.0 within one operand
+    operand = st.one_of(
+        signal,
+        st.tuples(signal, signal).map(lambda t: And(*t)),
+        st.tuples(signal, signal).map(lambda t: Or(*t)),
+    )
+    # a = 0, a > 0, b = a, b = inf and windows that start past the trace end
+    lower = st.sampled_from((0.0, 0.5, 1.0, 2.5, 100.0))
+    width = st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, math.inf))
+    bound = st.tuples(lower, width).map(lambda t: TimeBound(t[0], t[0] + t[1]))
+    # mostly consecutive samples on the grid, with some gaps
+    gaps = draw(st.lists(st.sampled_from((1, 1, 1, 2, 3)), min_size=1,
+                         max_size=max_samples))
+    times = tuple(0.5 * tick for tick in accumulate(gaps, initial=0))[:-1]
+    state = st.tuples(*[st.sampled_from((-1.0, 0.0, 1.0))] * 4)
+    states = draw(st.lists(state, min_size=len(times), max_size=len(times)))
+    trace = Trace(times, tuple(states))
+    formula = Until(draw(operand), draw(operand), draw(st.none() | bound | bound))
+    return formula, predicates, trace
+
+
+def encoded_until(left, right, bound):
+    """A scenario whose until operands take exactly the values ``left`` and
+    ``right``, each in {-1, -0.0, 0.0, 1}, at 0.5 s spacing.
+
+    An operand is ``Or(pa, Not(pb))`` with ``pa = -xa`` and ``pb = -xb``:
+    1 is ``xa = -1``; 0.0 is ``xa = 0, xb = 0``; -0.0 is ``xa = 1, xb = 0``;
+    -1 is ``xa = 1, xb = -1``."""
+    def code(value):
+        if value == 0.0:
+            return (1.0, 0.0) if math.copysign(1.0, value) < 0 else (0.0, 0.0)
+        return (-1.0, 0.0) if value > 0 else (1.0, -1.0)
+
+    predicates = PredicateMap(VARIABLES)
+    for k in range(4):
+        predicates.add(f"p{k}", [float(j == k) for j in range(4)], 0.0)
+    states = [code(l) + code(r) for l, r in zip(left, right)]
+    trace = Trace(tuple(0.5 * k for k in range(len(states))), tuple(states))
+    operands = [Or(Predicate(f"p{k}"), Not(Predicate(f"p{k + 1}"))) for k in (0, 2)]
+    return Until(*operands, TimeBound(*bound)), predicates, trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_untils())
+# Each of these reaches a tie between zeros of opposite sign inside the
+# two-stack queue of a bounded until, which random draws reach rarely.
+@example(encoded_until([0.0, -0.0, 1.0, 0.0, -0.0],
+                       [-0.0, -0.0, -1.0, -1.0, -0.0], (0.0, 1.0)))
+@example(encoded_until([1.0, -0.0, 1.0, 0.0, -0.0],
+                       [1.0, 0.0, -1.0, -0.0, 1.0], (0.0, 1.0)))
+@example(encoded_until([1.0, -0.0, 0.0, 1.0, 0.0, -0.0, 0.0],
+                       [1.0, -1.0, -0.0, -1.0, -1.0, -1.0, 0.0], (0.0, 1.5)))
+@example(encoded_until([-0.0, -0.0, 0.0, -0.0], [1.0, -1.0, -1.0, 0.0], (0.0, 1.0)))
+def test_until_matches_naive_on_ties_bit_for_bit(scenario):
+    formula, predicates, trace = scenario
+    naive = naive_signal(formula, predicates, trace)
+    for anchor, expected in enumerate(naive):
+        assert bit_equal(evaluate(formula, predicates, trace, at=anchor), expected)

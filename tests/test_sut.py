@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from naive_interpolator import bisect_at
 from stlfalsify.errors import SimulationError, TraceValidationError, ValidationError
 from stlfalsify.monitor import Trace
 from stlfalsify.sut import (
@@ -317,7 +318,7 @@ def bit_equal(a: float, b: float) -> bool:
 def seed_ode_simulate(derivative, initial_state, interval, signals, step):
     """The first RK4 loop of the package, kept as the oracle for the
     optimized one: every stage time recomputed, every signal value found by
-    ``at()``, every derivative call wrapped."""
+    bisection, every derivative call wrapped."""
     start, end = float(interval[0]), float(interval[1])
     span = end - start
     steps = max(1, round(span / step))
@@ -342,9 +343,9 @@ def seed_ode_simulate(derivative, initial_state, interval, signals, step):
         t = start + span * k / steps
         t_mid = t + h / 2.0
         t_next = start + span * (k + 1) / steps
-        u0 = [s.at(t) for s in signals]
-        u_mid = [s.at(t_mid) for s in signals]
-        u1 = [s.at(t_next) for s in signals]
+        u0 = [bisect_at(s, t) for s in signals]
+        u_mid = [bisect_at(s, t_mid) for s in signals]
+        u1 = [bisect_at(s, t_next) for s in signals]
         k1 = call(t, state, u0)
         k2 = call(t_mid, [x + h / 2.0 * d for x, d in zip(state, k1)], u_mid)
         k3 = call(t_mid, [x + h / 2.0 * d for x, d in zip(state, k2)], u_mid)
@@ -397,7 +398,7 @@ class TestSampleWalk:
             + list(signal.control_times)
             + data.draw(st.lists(st.floats(start - 5.0, end + 5.0), max_size=10))
         )
-        expected = [signal.at(t) for t in times]
+        expected = [bisect_at(signal, t) for t in times]
         assert all(map(bit_equal, signal.sample(times), expected))
 
     @settings(max_examples=100, deadline=None)
@@ -406,7 +407,9 @@ class TestSampleWalk:
         (start, end), signal = setup
         points = st.sampled_from(signal.control_times) | st.floats(start - 1.0, end + 1.0)
         times = data.draw(st.lists(points, max_size=20))
-        assert all(map(bit_equal, signal.sample(times), [signal.at(t) for t in times]))
+        expected = [bisect_at(signal, t) for t in times]
+        assert all(map(bit_equal, signal.sample(times), expected))
+        assert all(map(bit_equal, map(signal.at, times), expected))
 
     def test_single_control_point(self):
         signal = interpolator_create("piecewise-constant", (0.0, 2.0), [3.5])
