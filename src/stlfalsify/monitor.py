@@ -266,10 +266,12 @@ def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
                 f"{len(coefficients)}, state has {trace.dimension}"
             )
         # the arithmetic of predicate_robustness a column at a time: the
-        # products are added left to right from 0.0 at every sample
+        # products are added left to right from 0.0 at every sample; the total
+        # is never -0.0, so a zero coefficient's +-0.0 terms can be skipped
         total = repeat(0.0, n)
         for c, column in zip(coefficients, zip(*trace.states)):
-            total = map(add, total, map(mul, repeat(c), column))
+            if c:
+                total = map(add, total, map(mul, repeat(c), column))
         signal = list(map(truediv, map(sub, repeat(bound), total), repeat(norm)))
         # finite states whose terms overflow with opposite signs give
         # inf - inf; a NaN would slip through the min/max folds, so reject

@@ -106,6 +106,11 @@ class LinearPredicate:
             raise ValidationError(f"predicate {self.name!r} has an empty coefficient vector")
         if all(c == 0.0 for c in coeffs):
             raise ValidationError(f"predicate {self.name!r} has an all-zero coefficient vector")
+        if not all(map(math.isfinite, (*coeffs, self.bound))):
+            raise ValidationError(
+                f"predicate {self.name!r} has a non-finite coefficient or bound: "
+                f"{coeffs} . x <= {self.bound}"
+            )
         # hypot stays exact where naive sum-of-squares under- or overflows
         object.__setattr__(self, "norm", math.hypot(*coeffs))
 
@@ -398,9 +403,12 @@ class _Parser:
                 token.position,
             )
         value = self.signed_number()
-        return Predicate(*_inline_predicate(
-            name, self.columns[name], self.dimension, comparison.text, value
-        ))
+        try:
+            return Predicate(*_inline_predicate(
+                name, self.columns[name], self.dimension, comparison.text, value
+            ))
+        except ValidationError as exc:
+            raise StlSyntaxError(str(exc), token.position) from None
 
     def signed_number(self) -> float:
         negative = self.accept("-") is not None

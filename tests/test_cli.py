@@ -448,6 +448,23 @@ class TestMainValidation:
         )
         self.expect_error(capsys, [path], "syntax error")
 
+    def test_nan_predicate_data_rejected(self, tmp_path, capsys):
+        # json.dumps writes NaN, which json.load reads back as a float;
+        # accepted, it failed every evaluation as a system fault
+        path = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "system": "oscillator",
+                "spec": "[] p1",
+                "variables": ["x1", "x2"],
+                "predicates": [
+                    {"name": "p1", "coefficients": [1.0, float("nan")], "bound": 1.0}
+                ],
+            },
+        )
+        self.expect_error(capsys, [path], "non-finite", "'p1'")
+
     def test_bad_output_format(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from naive_monitor import naive_evaluate
+from naive_monitor import naive_evaluate, naive_signal
 from stlfalsify.errors import TraceValidationError, ValidationError
 from stlfalsify.monitor import Trace, evaluate, evaluate_boolean, predicate_robustness
 from stlfalsify.stl import (
@@ -239,6 +239,28 @@ class TestEvaluate:
         fast = evaluate(formula, predicates, trace)
         naive = naive_evaluate(formula, predicates, trace)
         assert fast == naive
+
+    def test_bounded_operators_on_alternating_grids(self):
+        # two traces of equal length on different grids, in alternation: no
+        # window bounds computed for one grid may be used for the other
+        traces = [scalar_trace([math.sin(0.3 * k) for k in range(40)],
+                               [0.1 * k for k in range(40)]),
+                  scalar_trace([(k % 7) / 3.0 - 1.0 for k in range(40)],
+                               [0.15 * k for k in range(40)])]
+        predicates = PredicateMap(("x",))
+        predicates.add("low", (1.0,), 0.5)
+        predicates.add("high", (-1.0,), -0.2)
+        low, high = Predicate("low"), Predicate("high")
+        bound = TimeBound(0.2, 1.0)
+        formulas = [Always(low, bound), Eventually(high, bound),
+                    Until(low, high, bound),
+                    Always(Eventually(low, TimeBound(0.0, 0.5)), bound)]
+        for _ in range(2):
+            for trace in traces:
+                for formula in formulas:
+                    actual = [evaluate(formula, predicates, trace, at=anchor)
+                              for anchor in range(len(trace))]
+                    assert actual == naive_signal(formula, predicates, trace)
 
     def test_until_is_linear_time(self):
         # a sawtooth of period 100 samples keeps both operands switching; a

@@ -11,10 +11,18 @@ sliding-window and suffix-scan paths to match the naive oracle in
 import math
 from itertools import accumulate
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from naive_monitor import naive_evaluate, naive_signal
-from stlfalsify.monitor import Trace, evaluate, evaluate_boolean, predicate_robustness
+from naive_monitor import naive_evaluate, naive_signal, window_indices
+from stlfalsify.errors import TraceValidationError
+from stlfalsify.monitor import (
+    Trace,
+    _window_bounds,
+    evaluate,
+    evaluate_boolean,
+    predicate_robustness,
+)
 from stlfalsify.stl import (
     Always,
     And,
@@ -209,6 +217,60 @@ def test_predicate_signal_matches_predicate_robustness(data):
                          (predicate.bound - total) / predicate.norm)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_zero_coefficient_columns_skipped_bit_for_bit(data):
+    """The predicate signal adds no term for a 0.0 or -0.0 coefficient.
+
+    That is exact because the running total starts at +0.0 and is never
+    -0.0, so adding a +-0.0 product leaves it unchanged; drawing mostly
+    signed zeros for coefficients, bound and states pins this bit for bit,
+    and huge states make terms overflow to +-inf and NaN."""
+    dimension = data.draw(st.integers(1, 6))
+    signed_zero = st.sampled_from((0.0, -0.0))
+    coefficient = st.one_of(signed_zero, signed_zero, signed_zero,
+                            st.floats(-3.0, 3.0, allow_nan=False))
+    coefficients = data.draw(
+        st.lists(coefficient, min_size=dimension, max_size=dimension).filter(
+            lambda cs: any(c != 0.0 for c in cs)
+        )
+    )
+    bound = data.draw(signed_zero | st.floats(-5.0, 5.0))
+    predicate = LinearPredicate("p", coefficients, bound)
+    value = st.one_of(signed_zero, signed_zero, st.sampled_from((1e308, -1e308)),
+                      st.floats(-1e6, 1e6, allow_nan=False))
+    n = data.draw(st.integers(1, 8))
+    states = data.draw(
+        st.lists(
+            st.lists(value, min_size=dimension, max_size=dimension).map(tuple),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    times = tuple(float(k) for k in range(n))
+    trace = Trace(times, tuple(states))
+    formula = Predicate("p", predicate)
+    expected = []
+    for state in states:
+        total = 0.0
+        for c, x in zip(predicate.coefficients, state):
+            total += c * x
+        folded = (predicate.bound - total) / predicate.norm
+        assert bit_equal(folded, predicate_robustness(predicate, state))
+        expected.append(folded)
+    overflowing = [k for k, value in enumerate(expected) if math.isnan(value)]
+    if overflowing:
+        k = overflowing[0]
+        message = (f"predicate 'p' is NaN at t={times[k]}: its terms "
+                   f"overflow on state {trace.states[k]}")
+        with pytest.raises(TraceValidationError) as err:
+            evaluate(formula, None, trace)
+        assert str(err.value) == message
+        return
+    for anchor, value in enumerate(expected):
+        assert bit_equal(evaluate(formula, None, trace, at=anchor), value)
+
+
 VARIABLES = ("x0", "x1", "x2", "x3")
 
 
@@ -298,3 +360,25 @@ def test_until_matches_naive_on_ties_bit_for_bit(scenario):
     naive = naive_signal(formula, predicates, trace)
     for anchor, expected in enumerate(naive):
         assert bit_equal(evaluate(formula, predicates, trace, at=anchor), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=30),
+    st.sampled_from((0.0, 0.5, 1.0, 2.5)),
+    st.sampled_from((0.0, 0.5, 1.5, 4.0, math.inf)),
+    st.booleans(),
+)
+def test_window_bounds_match_per_anchor_scan(gaps, lower, width, negative_start):
+    """The two-pointer bounds equal a per-anchor scan, also on a grid that
+    starts at -0.0 instead of 0.0."""
+    times = tuple(0.5 * tick for tick in accumulate(gaps, initial=0))[:-1]
+    bound = TimeBound(lower, lower + width)
+    if negative_start:
+        times = (-0.0,) + times[1:]
+    expected = ([], [])
+    for anchor in range(len(times)):
+        window = window_indices(times, anchor, bound)
+        expected[0].append(window.start)
+        expected[1].append(window.stop)
+    assert _window_bounds(times, bound) == expected

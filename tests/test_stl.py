@@ -65,6 +65,22 @@ class TestLinearPredicate:
             "p", (1, 0), 5
         )
 
+    @pytest.mark.parametrize("coefficients, bound", [
+        ((1.0,), math.nan),
+        ((1.0,), math.inf),
+        ((1.0, 0.0), -math.inf),
+        ((math.inf, 0.0), 1.0),
+        ((1.0, -math.inf), 1.0),
+        ((1.0, math.nan), 1.0),
+    ])
+    def test_non_finite_coefficient_or_bound_rejected(self, coefficients, bound):
+        # regression: all were accepted. A NaN anywhere or an infinite
+        # coefficient then failed every evaluation with "its terms overflow
+        # on state ...", blaming the system under test; a +-inf bound gave
+        # +-inf robustness, indistinguishable from the vacuity sentinels
+        with pytest.raises(ValidationError, match="non-finite"):
+            LinearPredicate("p", coefficients, bound)
+
 
 class TestPredicateMap:
     def test_columns_follow_declaration_order(self):
@@ -84,6 +100,16 @@ class TestPredicateMap:
         predicates.add("p1", (1.0,), 5.0)
         with pytest.raises(ValidationError):
             predicates.add("p1", (2.0,), 1.0)
+
+    @pytest.mark.parametrize("coefficients, bound", [
+        ((1.0,), math.nan),
+        ((math.inf,), 1.0),
+    ])
+    def test_non_finite_predicate_rejected(self, coefficients, bound):
+        predicates = PredicateMap(("x",))
+        with pytest.raises(ValidationError, match="non-finite"):
+            predicates.add("p", coefficients, bound)
+        assert "p" not in predicates
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValidationError):
@@ -192,6 +218,14 @@ class TestParser:
             parse_formula("p1 and", ("x",))
         assert err.value.position == len("p1 and")
         assert err.value.expected
+
+    @pytest.mark.parametrize("text", ["x <= 1e400", "[] (x >= -1e400)"])
+    def test_overflowing_comparison_literal_rejected(self, text):
+        # regression: "x <= 1e400" parsed to a bound of inf and formatted as
+        # "x <= inf", text the parser itself rejects
+        with pytest.raises(StlSyntaxError, match="non-finite") as err:
+            parse_formula(text, ("x",))
+        assert err.value.position == text.index("x")
 
     def test_unknown_variable_in_comparison(self):
         with pytest.raises(StlSyntaxError):
