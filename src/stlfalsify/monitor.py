@@ -17,9 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, repeat
-from operator import add, mul, sub, truediv
+from itertools import chain
+from operator import add, mul
 from typing import Sequence
+
+import numpy as np
 
 from .errors import TraceValidationError, ValidationError
 from .stl import (
@@ -132,75 +134,61 @@ def _resolve(node: Predicate, predicates: PredicateMap | None) -> LinearPredicat
     return predicates.resolve(node.name)
 
 
-def _window_bounds(times: tuple[float, ...],
-                   bound: TimeBound) -> tuple[list[int], list[int]]:
+def _window_bounds(times: Sequence[float],
+                   bound: TimeBound) -> tuple[np.ndarray, np.ndarray]:
     """``[starts[i], stops[i])``: the samples whose offset from anchor ``i``
-    lies inside the bound.  Timestamps increase and bounds are non-negative,
-    so both ends only move forward: two pointers, O(n) over all anchors."""
+    lies inside the bound.  ``searchsorted`` on ``t_i + a`` and ``t_i + b``
+    finds each end up to rounding; the end is then moved a sample at a time
+    until the exact test on ``times[j] - times[i]`` holds."""
+    times = np.array(times, dtype=float)
     n = len(times)
-    lower, upper = bound.lower, bound.upper
-    starts, stops = [0] * n, [0] * n
-    start = stop = 0
-    for i in range(n):
-        base = times[i]
-        if start < i:
-            start = i
-        while start < n and times[start] - base < lower:
-            start += 1
-        if stop < start:
-            stop = start
-        while stop < n and times[stop] - base <= upper:
-            stop += 1
-        starts[i], stops[i] = start, stop
-    return starts, stops
+    anchors = np.arange(n)
+    ends = []
+    for limit, side, past in ((bound.lower, "left", np.greater_equal),
+                              (bound.upper, "right", np.greater)):
+        # the first j >= i whose offset is past the limit, n if none
+        end = np.searchsorted(times, times + limit, side)
+        while True:
+            back = (end > anchors) & past(times[end - 1] - times, limit)
+            ahead = (end < n) & ~past(times[np.minimum(end, n - 1)] - times, limit)
+            if not (back.any() or ahead.any()):
+                break
+            end = end - back + ahead
+        ends.append(end)
+    return ends[0], ends[1]
 
 
-def _suffix_extrema(values: list[float], minimize: bool) -> list[float]:
-    """Min/max of ``values[i:]`` for every ``i``: the unbounded window.
-
-    A backward scan that, like a left fold, keeps the earliest of equal
-    values (``-0.0`` and ``0.0`` compare equal)."""
-    out = [0.0] * len(values)
-    best = _INF if minimize else -_INF
-    for i in range(len(values) - 1, -1, -1):
-        value = values[i]
-        if (value <= best) if minimize else (value >= best):
-            best = value
-        out[i] = best
-    return out
+def _pick(left: np.ndarray, right: np.ndarray, minimize: bool) -> np.ndarray:
+    """Elementwise min/max keeping ``left`` on a tie, as a left fold does
+    (``np.minimum`` may return either of ``0.0`` and ``-0.0``)."""
+    return np.where(right < left if minimize else right > left, right, left)
 
 
-def _sliding_extrema(values: list[float], starts: Sequence[int],
-                     stops: Sequence[int], minimize: bool) -> list[float]:
+def _sliding_extrema(values: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                     minimize: bool) -> np.ndarray:
     """Min/max of ``values[starts[i]:stops[i]]`` for every ``i``, +inf/-inf
-    when empty.  Both ends never decrease, so a monotone deque (Lemire 2006)
-    is O(n) overall; strict popping keeps the earliest of equal values, the
-    tie rule of a left fold over the range."""
-    out = []
+    when empty.  A sparse table: row ``k`` holds the extremum of every run
+    of ``2**k`` samples, and a window is covered by two overlapping runs.
+    The earlier run and half are kept on a tie, the tie rule of a left fold
+    over the range."""
+    n = len(values)
+    lengths = stops - starts
+    rows = np.frexp(np.maximum(lengths, 1))[1] - 1   # floor(log2(length))
+    table = np.empty((int(rows.max()) + 1, n))
+    table[0] = values
+    for k in range(1, len(table)):
+        half = 1 << (k - 1)
+        table[k, :n - half] = _pick(table[k - 1, :n - half], table[k - 1, half:],
+                                    minimize)
+        table[k, n - half:] = table[k - 1, n - half:]  # runs cut at the end
+    first = table[rows, np.minimum(starts, n - 1)]
+    last = table[rows, stops - (1 << rows)]
     empty = _INF if minimize else -_INF
-    deque_idx: list[int] = []   # candidate indices, extremum at the front
-    head = stop = 0
-    for start, end in zip(starts, stops):
-        if stop < start:
-            stop = start  # what the deque still holds lies before start
-        while stop < end:
-            value = values[stop]
-            if minimize:
-                while len(deque_idx) > head and values[deque_idx[-1]] > value:
-                    deque_idx.pop()
-            else:
-                while len(deque_idx) > head and values[deque_idx[-1]] < value:
-                    deque_idx.pop()
-            deque_idx.append(stop)
-            stop += 1
-        while head < len(deque_idx) and deque_idx[head] < start:
-            head += 1
-        out.append(values[deque_idx[head]] if head < len(deque_idx) else empty)
-    return out
+    return np.where(lengths > 0, _pick(first, last, minimize), empty)
 
 
-def _until_signal(left: list[float], right: list[float], times: tuple[float, ...],
-                  bound: TimeBound | None) -> list[float]:
+def _until_signal(left: np.ndarray, right: np.ndarray, times: tuple[float, ...],
+                  bound: TimeBound | None) -> np.ndarray:
     """Robustness of ``left U right`` at every anchor in amortised O(n).
 
     Sample ``j`` acts as ``f_j(x) = max(right[j], min(left[j], x))``.  The
@@ -210,23 +198,26 @@ def _until_signal(left: list[float], right: list[float], times: tuple[float, ...
     window's maps to -inf.  A composed map is a pair ``(A, B)`` for
     ``x -> max(A, min(B, x))``, held in a two-stack sliding queue (Donze,
     Ferrere and Maler, CAV 2013).  Every min and max keeps its first,
-    earlier operand on a tie, the tie rule of a per-anchor fold."""
+    earlier operand on a tie, the tie rule of a per-anchor fold.  Both
+    recurrences are sequential, so they run over Python floats."""
     n = len(left)
     out = [-_INF] * n
     if bound is None:
         acc = -_INF
-        for i in range(n - 1, -1, -1):
-            l, r = left[i], right[i]
+        for i, l, r in zip(range(n - 1, -1, -1), left[::-1].tolist(),
+                           right[::-1].tolist()):
             m = l if l <= acc else acc
             acc = out[i] = r if r >= m else m
-        return out
+        return np.array(out)
     starts, stops = _window_bounds(times, bound)
-    pre = _sliding_extrema(left, range(n), starts, minimize=True)
+    pre = _sliding_extrema(left, np.arange(n), starts, minimize=True)
+    left, right = left.tolist(), right.tolist()
     # front_a/b[k]: the pair of f_k o ... o f_{mid-1}; back: that of [mid, end)
     front_a, front_b = [0.0] * n, [0.0] * n
     mid = end = 0
     back_a, back_b = -_INF, _INF
-    for i, (start, stop, p) in enumerate(zip(starts, stops, pre)):
+    for i, (start, stop, p) in enumerate(zip(starts.tolist(), stops.tolist(),
+                                             pre.tolist())):
         while end < stop:  # back o f_end
             l, r = left[end], right[end]
             m = back_b if back_b <= r else r
@@ -248,12 +239,15 @@ def _until_signal(left: list[float], right: list[float], times: tuple[float, ...
         m = b if b <= back_a else back_a
         w = a if a >= m else m
         out[i] = p if p <= w else w
-    return out
+    return np.array(out)
 
 
 def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
-                       trace: Trace) -> list[float]:
-    """Robustness of ``formula`` at every sample index, computed bottom-up."""
+                       trace: Trace) -> np.ndarray:
+    """Robustness of ``formula`` at every sample index, computed bottom-up.
+
+    Elementwise min and max are ``where`` picks that keep the left operand on
+    a tie, so ``0.0`` and ``-0.0`` come out as a left fold gives them."""
     n = len(trace)
 
     if isinstance(formula, Predicate):
@@ -268,48 +262,49 @@ def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
         # the arithmetic of predicate_robustness a column at a time: the
         # products are added left to right from 0.0 at every sample; the total
         # is never -0.0, so a zero coefficient's +-0.0 terms can be skipped
-        total = repeat(0.0, n)
+        total = 0.0
         for c, column in zip(coefficients, zip(*trace.states)):
             if c:
-                total = map(add, total, map(mul, repeat(c), column))
-        signal = list(map(truediv, map(sub, repeat(bound), total), repeat(norm)))
+                total = total + c * np.fromiter(column, float, n)
+        signal = (bound - total) / norm
         # finite states whose terms overflow with opposite signs give
-        # inf - inf; a NaN would slip through the min/max folds, so reject
-        # it.  A sum without NaN has no NaN term.
-        if math.isnan(sum(signal)):
-            for t, state, value in zip(trace.times, trace.states, signal):
-                if math.isnan(value):
-                    raise TraceValidationError(
-                        f"predicate {pred.name!r} is NaN at t={t}: its terms "
-                        f"overflow on state {state}"
-                    )
+        # inf - inf; a NaN would slip through the min/max picks, so reject it
+        nan = np.isnan(signal)
+        if nan.any():
+            k = int(nan.argmax())
+            raise TraceValidationError(
+                f"predicate {pred.name!r} is NaN at t={trace.times[k]}: its "
+                f"terms overflow on state {trace.states[k]}"
+            )
         return signal
     if isinstance(formula, Not):
-        child = _robustness_signal(formula.child, predicates, trace)
-        return [-value for value in child]
-    if isinstance(formula, And):
+        return -_robustness_signal(formula.child, predicates, trace)
+    if isinstance(formula, (And, Or, Implies)):
         left = _robustness_signal(formula.left, predicates, trace)
         right = _robustness_signal(formula.right, predicates, trace)
-        return [r if r < l else l for l, r in zip(left, right)]
-    if isinstance(formula, Or):
-        left = _robustness_signal(formula.left, predicates, trace)
-        right = _robustness_signal(formula.right, predicates, trace)
-        return [r if r > l else l for l, r in zip(left, right)]
-    if isinstance(formula, Implies):
-        # Same value as the parse-time desugaring Or(Not(left), right).
-        left = _robustness_signal(formula.left, predicates, trace)
-        right = _robustness_signal(formula.right, predicates, trace)
-        return [r if r > -l else -l for l, r in zip(left, right)]
+        if isinstance(formula, Implies):
+            # Same value as the parse-time desugaring Or(Not(left), right).
+            left = -left
+        return _pick(left, right, minimize=isinstance(formula, And))
     if isinstance(formula, Next):
         child = _robustness_signal(formula.child, predicates, trace)
-        return child[1:] + [-_INF]
+        return np.append(child[1:], -_INF)
     if isinstance(formula, (Eventually, Always)):
         child = _robustness_signal(formula.child, predicates, trace)
         minimize = isinstance(formula, Always)
-        if formula.bound is None:
-            return _suffix_extrema(child, minimize)
-        starts, stops = _window_bounds(trace.times, formula.bound)
-        return _sliding_extrema(child, starts, stops, minimize)
+        if formula.bound is not None:
+            starts, stops = _window_bounds(trace.times, formula.bound)
+            return _sliding_extrema(child, starts, stops, minimize)
+        # suffix extrema; of equal values a left fold keeps the first, which
+        # matters only for a zero, and which zero np.minimum returns is not
+        # specified: take the sign of the first zero from i on
+        fold = np.minimum if minimize else np.maximum
+        out = fold.accumulate(child[::-1])[::-1]
+        if not out.all():
+            zeros = np.where(child == 0.0, np.arange(n), n)
+            first = np.minimum.accumulate(zeros[::-1])[::-1]
+            out = np.where(out == 0.0, child[np.minimum(first, n - 1)], out)
+        return out
     if isinstance(formula, Until):
         left = _robustness_signal(formula.left, predicates, trace)
         right = _robustness_signal(formula.right, predicates, trace)
@@ -324,7 +319,10 @@ def evaluate(formula: Formula, predicates: PredicateMap | None, trace: Trace,
         raise ValidationError(
             f"anchor index {at} out of range for a {len(trace)}-sample trace"
         )
-    return _robustness_signal(formula, predicates, trace)[at]
+    # predicate terms and window ends may overflow to +-inf, and opposite
+    # infinite terms give a NaN that the predicate branch rejects: no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_robustness_signal(formula, predicates, trace)[at])
 
 
 # --- qualitative oracle ------------------------------------------------------

@@ -77,8 +77,10 @@ class TimeBound:
     def __post_init__(self):
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
-        if not self.lower >= 0.0:
-            raise ValidationError(f"time bound lower limit must be >= 0, got {self.lower}")
+        if not 0.0 <= self.lower < math.inf:
+            raise ValidationError(
+                f"time bound lower limit must be finite and >= 0, got {self.lower}"
+            )
         if not self.lower <= self.upper:
             raise ValidationError(
                 f"malformed time bound: lower {self.lower} exceeds upper {self.upper}"
@@ -111,8 +113,11 @@ class LinearPredicate:
                 f"predicate {self.name!r} has a non-finite coefficient or bound: "
                 f"{coeffs} . x <= {self.bound}"
             )
-        # hypot stays exact where naive sum-of-squares under- or overflows
+        # hypot stays exact where naive sum-of-squares under- or overflows;
+        # an infinite norm would scale every robustness to +-0.0
         object.__setattr__(self, "norm", math.hypot(*coeffs))
+        if math.isinf(self.norm):
+            raise ValidationError(f"predicate {self.name!r} has a non-finite norm: {coeffs}")
 
 
 class Formula:

@@ -362,17 +362,77 @@ def test_until_matches_naive_on_ties_bit_for_bit(scenario):
         assert bit_equal(evaluate(formula, predicates, trace, at=anchor), expected)
 
 
+@st.composite
+def tie_heavy_long_windows(draw, max_samples=100):
+    """An ``always``, ``eventually`` or ``until`` over long signals made of
+    ties.
+
+    Every predicate value is exactly -1, -0.0, 0.0 or 1 (states in
+    {-1, -0.0, 0.0, 1}, bounds 0.0 and -0.0), ``Not`` and ``Next`` add
+    +-inf, and windows reach up to 100 samples, so the sparse table's rows
+    above ``2**4`` are compared too.  Gaps of one or two ticks make window
+    widths vary by one sample; windows start at 0 or later, may be empty,
+    and may be unbounded on the right."""
+    predicates = PredicateMap(VARIABLES)
+    for k in range(4):
+        coefficients = [0.0] * 4
+        coefficients[k] = float(draw(st.sampled_from((1, -1, 2))))
+        predicates.add(f"p{k}", coefficients, draw(st.sampled_from((0.0, -0.0))))
+    atom = st.sampled_from(("p0", "p1", "p2", "p3")).map(Predicate)
+    literal = atom | atom.map(Not)
+    # next is -inf at the last sample, its negation +inf
+    operand = st.one_of(
+        literal,
+        literal.map(Next),
+        literal.map(Next).map(Not),
+        st.tuples(literal, literal).map(lambda t: And(*t)),
+        st.tuples(literal, literal).map(lambda t: Or(*t)),
+    )
+    lower = st.sampled_from((0.0, 0.25, 1.0, 3.0, 100.0))
+    width = st.sampled_from((0.0, 0.25, 1.0, 2.5, 6.0, 20.0, math.inf))
+    bound = st.none() | st.tuples(lower, width).map(
+        lambda t: TimeBound(t[0], t[0] + t[1]))
+    n = draw(st.integers(1, max_samples))
+    gaps = draw(st.lists(st.sampled_from((1, 1, 1, 2)), min_size=n, max_size=n))
+    times = tuple(0.25 * tick for tick in accumulate(gaps, initial=0))[:-1]
+    state = st.tuples(*[st.sampled_from((-1.0, -0.0, 0.0, 1.0))] * 4)
+    states = draw(st.lists(state, min_size=n, max_size=n))
+    trace = Trace(times, tuple(states))
+    operator = draw(st.sampled_from((Always, Eventually, Until)))
+    if operator is Until:
+        formula = Until(draw(operand), draw(operand), draw(bound))
+    else:
+        formula = operator(draw(operand), draw(bound))
+    return formula, predicates, trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_long_windows())
+def test_long_windows_match_naive_on_ties_bit_for_bit(scenario):
+    formula, predicates, trace = scenario
+    naive = naive_signal(formula, predicates, trace)
+    for anchor, expected in enumerate(naive):
+        assert bit_equal(evaluate(formula, predicates, trace, at=anchor), expected)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(1, 4), min_size=1, max_size=30),
-    st.sampled_from((0.0, 0.5, 1.0, 2.5)),
+    st.sampled_from((0.0, 0.3, 0.5, 1.0, 2.5)),
     st.sampled_from((0.0, 0.5, 1.5, 4.0, math.inf)),
     st.booleans(),
+    st.sampled_from((0.5, 0.1)),
 )
-def test_window_bounds_match_per_anchor_scan(gaps, lower, width, negative_start):
-    """The two-pointer bounds equal a per-anchor scan, also on a grid that
-    starts at -0.0 instead of 0.0."""
-    times = tuple(0.5 * tick for tick in accumulate(gaps, initial=0))[:-1]
+# 0.2 + 0.5 is 0.7, below 0.1 * 7 = 0.7000000000000001, yet 0.1 * 7 - 0.2
+# is 0.5: sample 7 lies in anchor 2's window [0.5, 0.5]
+@example([1] * 10, 0.5, 0.0, False, 0.1)
+# 0.1 * 10 - 0.1 * 7 is below 0.3, though 0.1 * 7 + 0.3 rounds to 0.1 * 10
+@example([1] * 12, 0.3, 0.0, False, 0.1)
+def test_window_bounds_match_per_anchor_scan(gaps, lower, width, negative_start, step):
+    """The window bounds equal a per-anchor scan, also on a grid that
+    starts at -0.0 instead of 0.0, and on a 0.1 s grid, where ``t_i + b``
+    and ``t_j - t_i`` round differently."""
+    times = tuple(step * tick for tick in accumulate(gaps, initial=0))[:-1]
     bound = TimeBound(lower, lower + width)
     if negative_start:
         times = (-0.0,) + times[1:]
@@ -381,4 +441,5 @@ def test_window_bounds_match_per_anchor_scan(gaps, lower, width, negative_start)
         window = window_indices(times, anchor, bound)
         expected[0].append(window.start)
         expected[1].append(window.stop)
-    assert _window_bounds(times, bound) == expected
+    starts, stops = _window_bounds(times, bound)
+    assert (starts.tolist(), stops.tolist()) == expected

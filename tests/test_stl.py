@@ -47,6 +47,12 @@ class TestTimeBound:
         with pytest.raises(ValidationError):
             TimeBound(2.0, 1.0)
 
+    def test_infinite_lower_rejected(self):
+        # regression: TimeBound(inf, inf) was accepted and formatted as
+        # "[inf, inf]", text the parser rejects
+        with pytest.raises(ValidationError, match="finite"):
+            TimeBound(math.inf, math.inf)
+
 
 class TestLinearPredicate:
     def test_norm_is_euclidean(self):
@@ -80,6 +86,15 @@ class TestLinearPredicate:
         # +-inf robustness, indistinguishable from the vacuity sentinels
         with pytest.raises(ValidationError, match="non-finite"):
             LinearPredicate("p", coefficients, bound)
+
+    def test_overflowing_norm_rejected(self):
+        # regression: the norm of finite coefficients overflowed to inf, so
+        # the violating state (0.5, 0.0) scored -0.0, which reads as not
+        # violated
+        predicates = PredicateMap(("x", "y"))
+        with pytest.raises(ValidationError, match="non-finite norm"):
+            predicates.add("p", (1.5e308, 1.5e308), 1.0)
+        assert "p" not in predicates
 
 
 class TestPredicateMap:
@@ -226,6 +241,14 @@ class TestParser:
         with pytest.raises(StlSyntaxError, match="non-finite") as err:
             parse_formula(text, ("x",))
         assert err.value.position == text.index("x")
+
+    def test_overflowing_bound_literal_rejected(self):
+        # regression: "[1e400, inf]" parsed to TimeBound(inf, inf), which
+        # formatted as "always[inf, inf] (x <= 1.0)", text the parser rejects
+        text = "[] [1e400, inf] x <= 1"
+        with pytest.raises(StlSyntaxError, match="finite") as err:
+            parse_formula(text, ("x",))
+        assert err.value.position == text.index("[1e400")
 
     def test_unknown_variable_in_comparison(self):
         with pytest.raises(StlSyntaxError):
