@@ -21,8 +21,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import signal
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -43,6 +47,31 @@ from .sut import DEFAULT_STEPS, Blackbox
 __all__ = ["main", "extern_blackbox", "load_config", "results_to_records"]
 
 
+def _discard(proc: subprocess.Popen | None) -> None:
+    """Reap a child, if any, first killing its process group if it runs."""
+    if proc is not None:
+        with proc:
+            if proc.returncode is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+
+
+class _ExternBlackbox(Blackbox):
+    """The extern bridge as a :class:`Blackbox`, plus :meth:`session`."""
+
+    def __init__(self, func, spares: threading.local, *args):
+        super().__init__(func, *args)
+        self._spares = spares
+
+    @contextmanager
+    def session(self):
+        """Let each call on this thread launch the next call's child."""
+        self._spares.__dict__.setdefault("proc", None)  # nested: share the spare
+        try:
+            yield
+        finally:
+            _discard(self._spares.__dict__.pop("proc", None))
+
+
 def extern_blackbox(
     command: Sequence[str],
     steps: int = DEFAULT_STEPS,
@@ -59,12 +88,18 @@ def extern_blackbox(
     timestamps as its first line, then one state row per timestamp.  A
     nonzero exit status, malformed output, or exceeding ``timeout`` seconds
     is reported as a simulation error carrying the child's standard error.
+    Inside ``session()``, each call also launches the next call's child.
     """
     command = [str(part) for part in command]
     if not command:
         raise ValidationError("extern system needs a non-empty command")
     if not timeout > 0:
         raise ValidationError(f"timeout must be positive, got {timeout}")
+    spares = threading.local()
+
+    def launch() -> subprocess.Popen:
+        return subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
 
     def bridge(static, times, signal_rows):
         lines = [
@@ -74,27 +109,29 @@ def extern_blackbox(
         lines.extend(" ".join(repr(v) for v in row) for row in signal_rows)
         payload = "\n".join(lines) + "\n"
         try:
-            proc = subprocess.run(
-                command,
-                input=payload,
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired:
-            raise SimulationError(
-                f"extern system {command[0]!r} timed out after {timeout} s"
-            ) from None
+            proc = getattr(spares, "proc", None) or launch()
         except OSError as exc:
             raise SimulationError(
                 f"could not launch extern system {command[0]!r}: {exc}"
             ) from exc
+        if hasattr(spares, "proc"):  # inside a session
+            spares.proc = None
+            with suppress(OSError):  # the next call launches and reports
+                spares.proc = launch()
+        try:
+            stdout, stderr = proc.communicate(payload, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            raise SimulationError(
+                f"extern system {command[0]!r} timed out after {timeout} s"
+            ) from None
+        finally:
+            _discard(proc)
         if proc.returncode != 0:
             raise SimulationError(
                 f"extern system {command[0]!r} exited with code "
-                f"{proc.returncode}: {proc.stderr.strip()}"
+                f"{proc.returncode}: {stderr.strip()}"
             )
-        rows = [line for line in proc.stdout.splitlines() if line.strip()]
+        rows = [line for line in stdout.splitlines() if line.strip()]
         if not rows:
             raise SimulationError(f"extern system {command[0]!r} produced no output")
         try:
@@ -106,7 +143,7 @@ def extern_blackbox(
             ) from exc
         return timestamps, states
 
-    return Blackbox(bridge, steps=steps, interpolate=interpolate, reentrant=reentrant)
+    return _ExternBlackbox(bridge, spares, steps, interpolate, reentrant)
 
 
 _ROOT_KEYS = {"system", "spec", "variables", "predicates", "optimizer", "options", "output"}

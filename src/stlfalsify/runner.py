@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol, Sequence
@@ -289,15 +290,16 @@ def falsify(
         objective, state = make_objective(sut, spec, options)
         started = time.perf_counter()
         try:
-            history, best = optimize(
-                optimizer,
-                objective,
-                space,
-                options.iterations,
-                options.behavior,
-                options.seed + run_index,
-                engine_options,
-            )
+            with getattr(sut, "session", nullcontext)():
+                history, best = optimize(
+                    optimizer,
+                    objective,
+                    space,
+                    options.iterations,
+                    options.behavior,
+                    options.seed + run_index,
+                    engine_options,
+                )
         except SimulationError:
             elapsed = time.perf_counter() - started
             history = tuple(state.evaluations)

@@ -191,7 +191,8 @@ def interpolator_create(kind: str, interval: tuple[float, float],
 
 
 class System(Protocol):
-    """What the runner needs from a system under test."""
+    """What the runner needs from a system under test.  A system may also
+    have ``session()``, a context manager that :func:`falsify` enters per run."""
 
     #: Whether concurrent simulate calls are safe (parallel runs).
     reentrant: bool

@@ -3,7 +3,9 @@
 import csv
 import json
 import math
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -15,8 +17,14 @@ from stlfalsify.errors import (
     ValidationError,
 )
 from stlfalsify.monitor import Trace
-from stlfalsify.optim import Evaluation
-from stlfalsify.runner import ErrorPolicy, Options, StlSpecification, falsify
+from stlfalsify.optim import Behavior, Evaluation
+from stlfalsify.runner import (
+    ErrorPolicy,
+    Options,
+    StlSpecification,
+    decompose_sample,
+    falsify,
+)
 from stlfalsify.stl import PredicateMap
 from stlfalsify.sut import interpolator_create
 
@@ -129,6 +137,25 @@ class TestExternBlackbox:
         with pytest.raises(SimulationError, match="timed out"):
             system.simulate((0.5,), (), (0.0, 1.0))
 
+    def test_timeout_kills_the_childs_own_children(self, tmp_path):
+        pid_file = tmp_path / "grandchild.pid"
+        script = f"sleep 30 & echo $! > {pid_file}; sleep 30"
+        system = extern_blackbox(["sh", "-c", script], steps=2, timeout=1.0)
+        with pytest.raises(SimulationError, match="timed out"):
+            system.simulate((0.5,), (), (0.0, 1.0))
+        stat = f"/proc/{int(pid_file.read_text())}/stat"
+        deadline = time.monotonic() + 2.0
+        while True:
+            try:
+                with open(stat) as fh:
+                    state = fh.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                break
+            if state == "Z":  # killed, waiting for its new parent to reap it
+                break
+            assert time.monotonic() < deadline, f"grandchild still in state {state}"
+            time.sleep(0.05)
+
     def test_empty_command_rejected(self):
         with pytest.raises(ValidationError):
             extern_blackbox([])
@@ -145,10 +172,11 @@ class TestExternBlackbox:
 
 def echo_times_then(row_for):
     """Child source that prints the requested time grid, then ``row_for(k)``
-    as the state row of the k-th timestamp."""
+    as the state row of the k-th timestamp; ``lines`` holds the request."""
     return (
         "import sys\n"
-        "times = sys.stdin.read().splitlines()[1]\n"
+        "lines = sys.stdin.read().splitlines()\n"
+        "times = lines[1]\n"
         "print(times)\n"
         "for k in range(len(times.split())):\n"
         f"    print({row_for})\n"
@@ -179,6 +207,97 @@ class TestExternFaultInjection:
         assert all(error in message for _, message in run.failures)
         assert [entry.robustness for entry in run.history] == [math.inf, math.inf]
         assert not run.falsified
+
+
+@pytest.fixture
+def launched(monkeypatch):
+    """Every process started through ``subprocess.Popen`` during the test."""
+    processes = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            processes.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return processes
+
+
+SCALED_CHILD = echo_times_then("float(lines[0]) * (k + 1)")
+
+
+def scaled_campaign(**overrides):
+    predicates = PredicateMap(("x",))
+    predicates.add("p", (1.0,), 2.5)
+    fields = dict(static_params=((0.0, 1.0),), iterations=10,
+                  behavior=Behavior.MINIMIZATION)
+    fields.update(overrides)
+    return StlSpecification("[] p", predicates), Options(**fields)
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+class TestExternChildLifecycle:
+    """Within a campaign each call launches the next call's child; none may
+    outlive the campaign, however it ends."""
+
+    def system(self, source=SCALED_CHILD, **kwargs):
+        return extern_blackbox([sys.executable, "-c", source], steps=4, **kwargs)
+
+    def assert_all_reaped(self, launched, calls, runs=1):
+        """Every child is reaped; at most one spare per run was left over."""
+        assert launched and all(proc.returncode is not None for proc in launched)
+        assert len(launched) <= calls + runs
+
+    def test_normal_campaign(self, launched):
+        spec, options = scaled_campaign()
+        runs = falsify(spec, self.system(), "uniform-random", options)
+        assert len(runs[0].history) == 10
+        self.assert_all_reaped(launched, 10)
+
+    def test_aborted_run(self, launched):
+        spec, options = scaled_campaign(error_policy=ErrorPolicy.ABORT_RUN)
+        runs = falsify(spec, self.system(CRASH_CHILD), "uniform-random", options)
+        assert len(runs[0].failures) == 1 and not runs[0].history
+        self.assert_all_reaped(launched, 1)
+
+    def test_specification_raises(self, launched):
+        class Broken:
+            def evaluate(self, trace):
+                raise RuntimeError("monitor exploded")
+
+        _, options = scaled_campaign()
+        with pytest.raises(RuntimeError, match="monitor exploded"):
+            falsify(Broken(), self.system(), "uniform-random", options)
+        self.assert_all_reaped(launched, 1)
+
+    def test_parallel_runs(self, launched):
+        spec, options = scaled_campaign(iterations=4, runs=3, parallel_runs=True)
+        runs = falsify(spec, self.system(reentrant=True), "uniform-random", options)
+        assert [len(run.history) for run in runs] == [4, 4, 4]
+        self.assert_all_reaped(launched, 12, runs=3)
+
+    def test_campaign_inside_an_open_session(self, launched):
+        spec, options = scaled_campaign(iterations=3)
+        system = self.system()
+        with system.session():
+            system.simulate((0.5,), (), (0.0, 1.0))
+            falsify(spec, system, "uniform-random", options)
+            system.simulate((0.5,), (), (0.0, 1.0))
+        self.assert_all_reaped(launched, 5)
+
+    def test_simulate_outside_a_campaign_is_one_shot(self, launched):
+        self.system().simulate((0.5,), (), (0.0, 1.0))
+        assert len(launched) == 1 and launched[0].returncode == 0
+
+    def test_spawn_ahead_changes_no_value(self):
+        spec, options = scaled_campaign()
+        system = self.system()
+        (run,) = falsify(spec, system, "uniform-random", options)
+        assert len({entry.robustness for entry in run.history}) > 1
+        for entry in run.history:
+            static, signals = decompose_sample(entry.sample, options)
+            again = spec.evaluate(system.simulate(static, signals, options.interval))
+            assert again.hex() == entry.robustness.hex()
 
 
 class TestLoadConfig:
