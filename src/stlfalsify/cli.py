@@ -185,16 +185,31 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _int_field(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{where} must be an integer, got {value!r}")
+def _number(value, where: str) -> float:
+    """A JSON number as a float; anything else is a :class:`ValidationError`
+    naming the key path ``where``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an integer beyond the float range
+            return float(value)
+    raise ValidationError(f"{where} must be a number, got {value!r}")
+
+
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be an array, got {value!r}")
+    return value
+
+
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where} must be a boolean, got {value!r}")
     return value
 
 
 def _pair(value, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValidationError(f"{where} must be a [lower, upper] pair, got {value!r}")
-    return float(value[0]), float(value[1])
+    return _number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]")
 
 
 def _convert_options(cfg: Mapping, where: str = "options") -> dict:
@@ -204,27 +219,24 @@ def _convert_options(cfg: Mapping, where: str = "options") -> dict:
     if "static_params" in cfg:
         out["static_params"] = tuple(
             _pair(entry, f"{where}.static_params[{k}]")
-            for k, entry in enumerate(cfg["static_params"])
+            for k, entry in enumerate(_array(cfg["static_params"], f"{where}.static_params"))
         )
     if "signals" in cfg:
         converted = []
-        for k, entry in enumerate(cfg["signals"]):
+        for k, entry in enumerate(_array(cfg["signals"], f"{where}.signals")):
             if not isinstance(entry, Mapping):
                 raise ValidationError(f"{where}.signals[{k}] must be an object")
             _check_keys(entry, _SIGNAL_KEYS, f"{where}.signals[{k}]")
             fields = {"bound": _pair(_require(entry, "bound", f"{where}.signals[{k}]"),
                                      f"{where}.signals[{k}].bound")}
-            if "control_points" in entry:
-                fields["control_points"] = _int_field(
-                    entry["control_points"], f"{where}.signals[{k}].control_points"
-                )
-            if "interpolator" in entry:
-                fields["interpolator"] = entry["interpolator"]
+            for key in ("control_points", "interpolator"):
+                if key in entry:
+                    fields[key] = entry[key]
             converted.append(SignalOptions(**fields))
         out["signals"] = tuple(converted)
     for key in ("iterations", "runs", "seed"):
         if key in cfg:
-            out[key] = _int_field(cfg[key], f"{where}.{key}")
+            out[key] = cfg[key]
     if "behavior" in cfg:
         try:
             out["behavior"] = Behavior(cfg["behavior"])
@@ -244,22 +256,22 @@ def _convert_options(cfg: Mapping, where: str = "options") -> dict:
                 f"{[p.value for p in ErrorPolicy]}"
             ) from None
     if "parallel_runs" in cfg:
-        if not isinstance(cfg["parallel_runs"], bool):
-            raise ValidationError(f"{where}.parallel_runs must be a boolean")
-        out["parallel_runs"] = cfg["parallel_runs"]
+        out["parallel_runs"] = _boolean(cfg["parallel_runs"], f"{where}.parallel_runs")
     return out
 
 
 def _build_predicates(variables: Sequence[str], entries: Sequence) -> PredicateMap:
     predicates = PredicateMap(tuple(variables))
-    for k, entry in enumerate(entries):
+    for k, entry in enumerate(_array(entries, "predicates")):
+        where = f"predicates[{k}]"
         if not isinstance(entry, Mapping):
-            raise ValidationError(f"predicates[{k}] must be an object")
-        _check_keys(entry, _PREDICATE_KEYS, f"predicates[{k}]")
+            raise ValidationError(f"{where} must be an object")
+        _check_keys(entry, _PREDICATE_KEYS, where)
+        coefficients = _array(_require(entry, "coefficients", where), f"{where}.coefficients")
         predicates.add(
-            _require(entry, "name", f"predicates[{k}]"),
-            tuple(float(c) for c in _require(entry, "coefficients", f"predicates[{k}]")),
-            float(_require(entry, "bound", f"predicates[{k}]")),
+            _require(entry, "name", where),
+            [_number(c, f"{where}.coefficients[{j}]") for j, c in enumerate(coefficients)],
+            _number(_require(entry, "bound", where), f"{where}.bound"),
         )
     return predicates
 
@@ -293,13 +305,12 @@ def _build_campaign(config: dict, args: argparse.Namespace) -> _Campaign:
                 command = [command]
             fields = {}
             if "steps" in system_cfg:
-                fields["steps"] = _int_field(system_cfg["steps"], "system.steps")
+                fields["steps"] = system_cfg["steps"]
             if "timeout" in system_cfg:
-                fields["timeout"] = float(system_cfg["timeout"])
-            if "interpolate" in system_cfg:
-                fields["interpolate"] = bool(system_cfg["interpolate"])
-            if "reentrant" in system_cfg:
-                fields["reentrant"] = bool(system_cfg["reentrant"])
+                fields["timeout"] = _number(system_cfg["timeout"], "system.timeout")
+            for key in ("interpolate", "reentrant"):
+                if key in system_cfg:
+                    fields[key] = _boolean(system_cfg[key], f"system.{key}")
             system = extern_blackbox(command, **fields)
         else:
             raise ValidationError("system must name a 'benchmark' or an 'extern' command")
@@ -325,8 +336,8 @@ def _build_campaign(config: dict, args: argparse.Namespace) -> _Campaign:
 
     # requirement: benchmark default unless the config replaces it
     if "variables" in config or "predicates" in config:
-        variables = _require(config, "variables", "config")
-        predicates = _build_predicates(variables, config.get("predicates", ()))
+        variables = _array(_require(config, "variables", "config"), "variables")
+        predicates = _build_predicates(variables, config.get("predicates", []))
     elif benchmark is not None:
         predicates = benchmark.predicates
     else:

@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SimulationError, ValidationError
 
 __all__ = [
     "SearchSpace",
@@ -100,10 +100,6 @@ class Evaluation:
     sample: tuple[float, ...]
     robustness: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "sample", tuple(float(x) for x in self.sample))
-        object.__setattr__(self, "robustness", float(self.robustness))
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Philox-based generator: counter-based, so streams are identical
@@ -117,9 +113,9 @@ class _StopSearch(Exception):
 
 class _Recorder:
     """Wraps the objective for one run: enforces the evaluation budget,
-    captures every call into the history, rejects a NaN value, and under
-    FALSIFICATION stops the search right after the first negative
-    robustness."""
+    converts each sample to a tuple of Python floats, captures every call
+    into the history, rejects a NaN value, and under FALSIFICATION stops
+    the search right after the first negative robustness."""
 
     def __init__(self, objective: Objective, space: SearchSpace, budget: int,
                  behavior: Behavior):
@@ -434,7 +430,9 @@ def optimize(
     FALSIFICATION its last entry is the first negative robustness found.
     ``best`` is the minimum-robustness entry, earliest call winning ties.
     An objective value of NaN raises :class:`ValidationError` naming the
-    sample; it never reaches the history.
+    sample; it never reaches the history.  A :class:`SimulationError` from
+    the objective ends the search and is raised again, carrying the calls
+    completed before it as its ``history`` attribute.
     """
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
@@ -450,6 +448,9 @@ def optimize(
         engine.run(recorder, space, budget, make_rng(seed))
     except _StopSearch:
         pass
+    except SimulationError as exc:
+        exc.history = tuple(recorder.history)
+        raise
     history = tuple(recorder.history)
     best = min(history, key=lambda entry: entry.robustness)
     return history, best

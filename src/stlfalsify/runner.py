@@ -70,7 +70,9 @@ class SignalOptions:
     def __post_init__(self):
         lo, hi = float(self.bound[0]), float(self.bound[1])
         object.__setattr__(self, "bound", (lo, hi))
-        object.__setattr__(self, "control_points", int(self.control_points))
+        points = self.control_points
+        if not isinstance(points, int) or isinstance(points, bool):
+            raise ValidationError(f"control_points must be an integer, got {points!r}")
         if not lo < hi:
             raise ValidationError(
                 f"signal bound lower {lo} must be below upper {hi}"
@@ -126,6 +128,10 @@ class Options:
                 raise ValidationError(
                     f"signals must be SignalOptions, got {type(entry).__name__}"
                 )
+        for name in ("iterations", "runs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
         if self.runs < 1:
@@ -134,8 +140,6 @@ class Options:
             raise ValidationError(f"behavior must be a Behavior, got {self.behavior!r}")
         if not start < end:
             raise ValidationError(f"inverted interval ({start}, {end})")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
         if not isinstance(self.error_policy, ErrorPolicy):
@@ -200,7 +204,7 @@ def decompose_sample(
     remaining entries form one block per signal, in declaration order, each
     block holding that signal's control-point values.
     """
-    sample = tuple(float(x) for x in sample)
+    sample = tuple(sample)
     expected = len(options.static_params) + sum(
         s.control_points for s in options.signals
     )
@@ -221,23 +225,14 @@ def decompose_sample(
     return static, tuple(signals)
 
 
-class _ObjectiveState:
-    """Side log of one run's objective calls, kept outside the optimizer so
-    an aborted run still reports its partial history."""
-
-    def __init__(self):
-        self.evaluations: list[Evaluation] = []
-        self.failures: list[tuple[tuple[float, ...], str]] = []
-
-
 def make_objective(sut: System, spec: Specification, options: Options):
     """Build the sample-to-robustness objective for one run.
 
-    Returns ``(objective, state)``: the state collects every completed
-    evaluation and every simulation failure, per the error policy.
+    Returns ``(objective, failures)``: ``failures`` collects one (sample,
+    error description) pair per simulation failure, per the error policy.
     """
 
-    state = _ObjectiveState()
+    failures: list[tuple[tuple[float, ...], str]] = []
 
     def objective(sample: Sequence[float]) -> float:
         static, signals = decompose_sample(sample, options)
@@ -251,20 +246,13 @@ def make_objective(sut: System, spec: Specification, options: Options):
             if math.isnan(robustness):
                 raise SimulationError("specification returned NaN robustness")
         except SimulationError as exc:
-            state.failures.append((tuple(float(x) for x in sample), str(exc)))
+            failures.append((tuple(sample), str(exc)))
             if options.error_policy is ErrorPolicy.ABORT_RUN:
                 raise
             robustness = float("inf")
-        state.evaluations.append(Evaluation(sample, robustness))
         return robustness
 
-    return objective, state
-
-
-def _best_of(history: tuple[Evaluation, ...]) -> Evaluation | None:
-    if not history:
-        return None
-    return min(history, key=lambda entry: entry.robustness)
+    return objective, failures
 
 
 def falsify(
@@ -287,11 +275,11 @@ def falsify(
     space = search_space(options)
 
     def single_run(run_index: int) -> RunResult:
-        objective, state = make_objective(sut, spec, options)
+        objective, failures = make_objective(sut, spec, options)
         started = time.perf_counter()
         try:
             with getattr(sut, "session", nullcontext)():
-                history, best = optimize(
+                history, _ = optimize(
                     optimizer,
                     objective,
                     space,
@@ -300,19 +288,17 @@ def falsify(
                     options.seed + run_index,
                     engine_options,
                 )
-        except SimulationError:
-            elapsed = time.perf_counter() - started
-            history = tuple(state.evaluations)
-            best = _best_of(history)
-        else:
-            elapsed = time.perf_counter() - started
-        falsified = best is not None and best.robustness < 0
+        except SimulationError as exc:
+            history = exc.history
+        elapsed = time.perf_counter() - started
+        # optimize's rule: the earliest minimum wins a tie
+        best = min(history, key=lambda entry: entry.robustness, default=None)
         return RunResult(
             history=history,
             best=best,
             run_time=elapsed,
-            falsified=falsified,
-            failures=tuple(state.failures),
+            falsified=best is not None and best.robustness < 0,
+            failures=tuple(failures),
         )
 
     indices = range(options.runs)

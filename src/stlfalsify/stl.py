@@ -217,13 +217,12 @@ class PredicateMap:
         """Register the predicate ``coefficients . x <= bound`` under ``name``."""
         if name in self._predicates:
             raise ValidationError(f"duplicate predicate name {name!r}")
-        coeffs = tuple(float(c) for c in coefficients)
-        if len(coeffs) != self.dimension:
+        pred = LinearPredicate(name, coefficients, bound)
+        if len(pred.coefficients) != self.dimension:
             raise ValidationError(
-                f"predicate {name!r} has {len(coeffs)} coefficients for "
-                f"{self.dimension} state variables"
+                f"predicate {name!r} has {len(pred.coefficients)} coefficients "
+                f"for {self.dimension} state variables"
             )
-        pred = LinearPredicate(name, coeffs, bound)
         self._predicates[name] = pred
         return pred
 

@@ -253,6 +253,8 @@ class Blackbox:
 
     def __init__(self, func: BlackboxFunc, steps: int = DEFAULT_STEPS,
                  interpolate: bool = True, reentrant: bool = False):
+        if not isinstance(steps, int) or isinstance(steps, bool):
+            raise ValidationError(f"steps must be an integer, got {steps!r}")
         if steps < 1:
             raise ValidationError(f"steps must be >= 1, got {steps}")
         self.func = func
@@ -277,7 +279,7 @@ class Blackbox:
                 )
             times = _grid(start, end, counts.pop() - 1)
             rows = tuple(s.control_values for s in signals)
-        request = SimulationInput(tuple(float(x) for x in static), times, rows)
+        request = SimulationInput(static, times, rows)
         return blackbox_simulate(self.func, request)
 
 
@@ -474,7 +476,6 @@ class OdeSystem:
 
     def simulate(self, static: Sequence[float], signals: Sequence[Interpolator],
                  interval: tuple[float, float]) -> Trace:
-        static = tuple(float(x) for x in static)
         initial = static if self.initial_state is None else self.initial_state(static)
         step = self.step
         if step is None:

@@ -405,6 +405,14 @@ class TestMainHappyPath:
         assert main([config]) == 0
         assert "no violation" in capsys.readouterr().out
 
+    def test_inline_spec_needs_no_predicates_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", {
+            "system": "oscillator", "spec": "[] x1 <= 10", "variables": ["x1", "x2"],
+            "options": {"iterations": 2},
+        })
+        assert main([path]) == 0
+        assert "no violation" in capsys.readouterr().out
+
     def test_verbose_prints_each_evaluation(self, tmp_path, capsys):
         config = extern_config(
             tmp_path, write_child(tmp_path, "echo.py", ECHO_CHILD)
@@ -583,6 +591,31 @@ class TestMainValidation:
             },
         )
         self.expect_error(capsys, [path], "non-finite", "'p1'")
+
+    @pytest.mark.parametrize("config, where", [
+        ({"system": "oscillator", "options": {"interval": ["x", 1]}},
+         "options.interval[0]"),
+        ({"system": "oscillator", "spec": "[] p1", "variables": ["x1", "x2"],
+          "predicates": [{"name": "p1", "coefficients": [1.0, "x"], "bound": 1.0}]},
+         "predicates[0].coefficients[1]"),
+        ({"system": "oscillator", "options": {"static_params": 5}},
+         "options.static_params"),
+        ({"system": {"extern": ["true"], "timeout": "soon"}, "spec": "p1",
+          "variables": ["x"], "predicates": []},
+         "system.timeout"),
+        ({"system": "oscillator", "spec": "[] x1 <= 1", "variables": 5}, "variables"),
+    ])
+    def test_wrong_json_type_reported(self, tmp_path, capsys, config, where):
+        path = write_config(tmp_path, "c.json", config)
+        self.expect_error(capsys, [path], where)
+
+    @pytest.mark.parametrize("key", ["interpolate", "reentrant"])
+    def test_extern_flags_must_be_booleans(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, "c.json", {
+            "system": {"extern": ["true"], key: "false"}, "spec": "p1",
+            "variables": ["x"], "predicates": [],
+        })
+        self.expect_error(capsys, [path], f"system.{key} must be a boolean")
 
     def test_bad_output_format(self, tmp_path, capsys):
         path = write_config(

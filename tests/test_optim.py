@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stlfalsify import get_benchmark, monitor, optim
-from stlfalsify.errors import ValidationError
+from stlfalsify.errors import SimulationError, ValidationError
 from stlfalsify.monitor import Trace, evaluate, predicate_robustness
 from stlfalsify.optim import (
     ENGINES,
@@ -236,6 +236,25 @@ class TestOptimize:
                      behavior=Behavior.MINIMIZATION, seed=0)
         assert len(samples) == 3
         assert str(raised.value) == f"objective returned NaN for sample {samples[2]}"
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_simulation_error_carries_partial_history(self, engine):
+        samples = []
+
+        def fail_on_fourth_call(sample):
+            samples.append(sample)
+            if len(samples) == 4:
+                raise SimulationError("deliberate failure")
+            return sphere(sample)
+
+        with pytest.raises(SimulationError) as raised:
+            optimize(engine, fail_on_fourth_call, SQUARE, budget=10,
+                     behavior=Behavior.MINIMIZATION, seed=0)
+        history = raised.value.history
+        assert len(history) == 3
+        assert history == tuple(
+            Evaluation(sample, sphere(sample)) for sample in samples[:3]
+        )
 
     @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_same_seed_reproduces_history(self, engine):

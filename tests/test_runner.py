@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stlfalsify.errors import SimulationError, ValidationError
 from stlfalsify.monitor import Trace
-from stlfalsify.optim import Behavior, Evaluation
+from stlfalsify.optim import Behavior
 from stlfalsify.runner import (
     ErrorPolicy,
     Options,
@@ -87,6 +87,11 @@ class TestSignalOptions:
         with pytest.raises(ValidationError):
             SignalOptions(bound=(0.0, 1.0), interpolator="spline")
 
+    @pytest.mark.parametrize("points", [2.7, 2.0, "3", True])
+    def test_non_integer_control_points_rejected(self, points):
+        with pytest.raises(ValidationError, match="control_points must be an integer"):
+            SignalOptions(bound=(0.0, 1.0), control_points=points)
+
 
 class TestOptions:
     def test_requires_something_to_search(self):
@@ -112,6 +117,12 @@ class TestOptions:
     def test_inverted_interval(self):
         with pytest.raises(ValidationError):
             Options(static_params=((0.0, 1.0),), interval=(5.0, 5.0))
+
+    @pytest.mark.parametrize("field", ["iterations", "runs"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, "3"])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            Options(static_params=((0.0, 1.0),), **{field: value})
 
     @pytest.mark.parametrize("seed", [True, 1.5, -1, 2**64, "0"])
     def test_bad_seeds_rejected(self, seed):
@@ -219,9 +230,9 @@ class TestMakeObjective:
             interval=(0.0, 1.0),
         )
         spec = StlSpecification("p1", leq_five_predicates())
-        objective, state = make_objective(Blackbox(echo, steps=4), spec, options)
+        objective, failures = make_objective(Blackbox(echo, steps=4), spec, options)
         assert objective((3.0,)) == 2.0
-        assert state.evaluations == [Evaluation((3.0,), 2.0)]
+        assert failures == []
 
     def test_record_and_continue_scores_infinity(self):
         options = Options(
@@ -229,19 +240,17 @@ class TestMakeObjective:
             error_policy=ErrorPolicy.RECORD_AND_CONTINUE,
         )
         spec = StlSpecification("p1", leq_five_predicates())
-        objective, state = make_objective(FailingSystem("always"), spec, options)
+        objective, failures = make_objective(FailingSystem("always"), spec, options)
         assert objective((1.0,)) == math.inf
-        assert state.failures == [((1.0,), "deliberate failure on call 1")]
-        assert state.evaluations == [Evaluation((1.0,), math.inf)]
+        assert failures == [((1.0,), "deliberate failure on call 1")]
 
     def test_abort_run_reraises(self):
         options = Options(static_params=((0.0, 10.0),))
         spec = StlSpecification("p1", leq_five_predicates())
-        objective, state = make_objective(FailingSystem("always"), spec, options)
+        objective, failures = make_objective(FailingSystem("always"), spec, options)
         with pytest.raises(SimulationError):
             objective((1.0,))
-        assert state.evaluations == []
-        assert len(state.failures) == 1
+        assert failures == [((1.0,), "deliberate failure on call 1")]
 
 
 class TestStlSpecification:

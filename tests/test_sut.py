@@ -215,6 +215,11 @@ class TestBlackboxSystem:
         with pytest.raises(ValidationError):
             Blackbox(echo, steps=0)
 
+    @pytest.mark.parametrize("steps", [2.5, 4.0, "4", True])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValidationError, match="steps must be an integer"):
+            Blackbox(echo, steps=steps)
+
 
 class TestOdeSimulate:
     def test_zero_derivative_holds_state(self):
