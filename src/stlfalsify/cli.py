@@ -375,10 +375,12 @@ def _build_campaign(config: dict, args: argparse.Namespace) -> _Campaign:
     if not isinstance(output_cfg, Mapping):
         raise ValidationError("output must be an object")
     _check_keys(output_cfg, _OUTPUT_KEYS, "output")
+    if not isinstance(output_cfg.get("path", ""), str):
+        raise ValidationError(f"output.path must be a string, got {output_cfg['path']!r}")
     out_path = args.out if args.out is not None else output_cfg.get("path")
     out_format = args.format if args.format is not None else output_cfg.get("format")
     if out_format is None and out_path is not None:
-        out_format = "json" if str(out_path).endswith(".json") else "csv"
+        out_format = "json" if out_path.endswith(".json") else "csv"
     if out_format is not None and out_format not in ("csv", "json"):
         raise ValidationError(f"unknown output format {out_format!r}; choose csv or json")
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
 from operator import add, mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -134,18 +134,20 @@ def _resolve(node: Predicate, predicates: PredicateMap | None) -> LinearPredicat
     return predicates.resolve(node.name)
 
 
-def _window_bounds(times: Sequence[float],
+def _window_bounds(times: np.ndarray,
                    bound: TimeBound) -> tuple[np.ndarray, np.ndarray]:
     """``[starts[i], stops[i])``: the samples whose offset from anchor ``i``
     lies inside the bound.  ``searchsorted`` on ``t_i + a`` and ``t_i + b``
     finds each end up to rounding; the end is then moved a sample at a time
     until the exact test on ``times[j] - times[i]`` holds."""
-    times = np.array(times, dtype=float)
     n = len(times)
     anchors = np.arange(n)
     ends = []
     for limit, side, past in ((bound.lower, "left", np.greater_equal),
                               (bound.upper, "right", np.greater)):
+        if limit == 0 and side == "left":  # no search: i itself
+            ends.append(anchors)
+            continue
         # the first j >= i whose offset is past the limit, n if none
         end = np.searchsorted(times, times + limit, side)
         while True:
@@ -159,8 +161,12 @@ def _window_bounds(times: Sequence[float],
 
 
 def _pick(left: np.ndarray, right: np.ndarray, minimize: bool) -> np.ndarray:
-    """Elementwise min/max keeping ``left`` on a tie, as a left fold does
-    (``np.minimum`` may return either of ``0.0`` and ``-0.0``)."""
+    """Elementwise min/max keeping ``left`` on a tie, as a left fold does.
+    Equal values differ in their bits only as ``0.0`` and ``-0.0``, so
+    ``np.minimum``, which may return either zero, is exact without zeros."""
+    out = (np.minimum if minimize else np.maximum)(left, right)
+    if np.count_nonzero(out) == len(out):
+        return out
     return np.where(right < left if minimize else right > left, right, left)
 
 
@@ -187,67 +193,65 @@ def _sliding_extrema(values: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     return np.where(lengths > 0, _pick(first, last, minimize), empty)
 
 
-def _until_signal(left: np.ndarray, right: np.ndarray, times: tuple[float, ...],
-                  bound: TimeBound | None) -> np.ndarray:
-    """Robustness of ``left U right`` at every anchor in amortised O(n).
+def _compose(outer: tuple[np.ndarray, np.ndarray],
+             inner: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The pair of ``outer o inner``, where ``(A, B)`` stands for the map
+    ``x -> max(A, min(B, x))`` and ``outer`` covers the earlier samples."""
+    (a, b), (inner_a, inner_b) = outer, inner
+    return _pick(a, _pick(b, inner_a, True), False), _pick(b, inner_b, True)
 
-    Sample ``j`` acts as ``f_j(x) = max(right[j], min(left[j], x))``.  The
-    unbounded form is ``f_i(f_{i+1}(... f_{n-1}(-inf)))``, one backward
-    recurrence.  The bounded form is ``min(pre_i, W_i)``: ``pre_i`` is the
-    minimum of ``left`` from ``i`` up to the window, and ``W_i`` applies the
-    window's maps to -inf.  A composed map is a pair ``(A, B)`` for
-    ``x -> max(A, min(B, x))``, held in a two-stack sliding queue (Donze,
-    Ferrere and Maler, CAV 2013).  Every min and max keeps its first,
-    earlier operand on a tie, the tie rule of a per-anchor fold.  Both
-    recurrences are sequential, so they run over Python floats."""
+
+def _double(pair: tuple[np.ndarray, np.ndarray], size: int) -> None:
+    """Turn the pairs of the runs of ``size`` samples from every index into
+    those of ``2 * size`` samples, in place; a run cut at the end holds the
+    maps up to it."""
+    a, b = pair
+    cut = len(a) - size
+    a[:cut], b[:cut] = _compose((a[:cut], b[:cut]), (a[size:], b[size:]))
+
+
+def _until_signal(left: np.ndarray, right: np.ndarray, times: Callable[[], np.ndarray],
+                  bound: TimeBound | None) -> np.ndarray:
+    """Robustness of ``left U right`` at every anchor in O(n log n).
+
+    Sample ``j`` acts as ``f_j(x) = max(right[j], min(left[j], x))``; a
+    composed map is a pair ``(A, B)`` for ``x -> max(A, min(B, x))``, and
+    ``A`` is its value at -inf (Donze, Ferrere and Maler, CAV 2013).
+    Unbounded: ``f_i o ... o f_{n-1}`` by a doubling suffix scan.  Bounded:
+    ``min(pre_i, W_i)``, ``pre_i`` the minimum of ``left`` before the window
+    and ``W_i`` its maps by binary lifting, one run per bit of its length,
+    side by side.  Every min and max keeps its earlier operand on a tie, as
+    a per-anchor fold does, so the grouping changes no bit."""
     n = len(left)
-    out = [-_INF] * n
+    # index n holds the identity map, for the runs a window leaves out
+    pair = (np.append(right, -_INF), np.append(left, _INF))
     if bound is None:
-        acc = -_INF
-        for i, l, r in zip(range(n - 1, -1, -1), left[::-1].tolist(),
-                           right[::-1].tolist()):
-            m = l if l <= acc else acc
-            acc = out[i] = r if r >= m else m
-        return np.array(out)
-    starts, stops = _window_bounds(times, bound)
+        for k in range((n - 1).bit_length()):  # until a run reaches the end
+            _double(pair, 1 << k)
+        return pair[0][:n]
+    starts, stops = _window_bounds(times(), bound)
+    lengths = stops - starts
+    window = (np.full(n, -_INF), np.full(n, _INF))
+    position = starts
+    for k in range(int(lengths.max()).bit_length()):
+        if k:
+            _double(pair, 1 << (k - 1))
+        bit = lengths & (1 << k)
+        index = np.where(bit, position, n)
+        window = _compose(window, (pair[0][index], pair[1][index]))
+        position = position + bit
+    if bound.lower == 0:
+        return window[0]
     pre = _sliding_extrema(left, np.arange(n), starts, minimize=True)
-    left, right = left.tolist(), right.tolist()
-    # front_a/b[k]: the pair of f_k o ... o f_{mid-1}; back: that of [mid, end)
-    front_a, front_b = [0.0] * n, [0.0] * n
-    mid = end = 0
-    back_a, back_b = -_INF, _INF
-    for i, (start, stop, p) in enumerate(zip(starts.tolist(), stops.tolist(),
-                                             pre.tolist())):
-        while end < stop:  # back o f_end
-            l, r = left[end], right[end]
-            m = back_b if back_b <= r else r
-            back_a = back_a if back_a >= m else m
-            back_b = back_b if back_b <= l else l
-            end += 1
-        if start == stop:
-            continue  # empty window: -inf
-        if start >= mid:  # the front is empty: move [start, end) onto it
-            a, b = -_INF, _INF
-            for k in range(end - 1, start - 1, -1):  # f_k o (a, b)
-                l, r = left[k], right[k]
-                m = l if l <= a else a
-                a = front_a[k] = r if r >= m else m
-                b = front_b[k] = l if l <= b else b
-            mid = end
-            back_a, back_b = -_INF, _INF
-        a, b = front_a[start], front_b[start]
-        m = b if b <= back_a else back_a
-        w = a if a >= m else m
-        out[i] = p if p <= w else w
-    return np.array(out)
+    return _pick(pre, window[0], True)
 
 
 def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
-                       trace: Trace) -> np.ndarray:
-    """Robustness of ``formula`` at every sample index, computed bottom-up.
-
-    Elementwise min and max are ``where`` picks that keep the left operand on
-    a tie, so ``0.0`` and ``-0.0`` come out as a left fold gives them."""
+                       trace: Trace, times: Callable[[], np.ndarray]) -> np.ndarray:
+    """Robustness of ``formula`` at every sample index, computed bottom-up;
+    ``times()`` is ``trace.times`` as an array.  Every elementwise min and max
+    is a :func:`_pick`, so ``0.0`` and ``-0.0`` come out as a left fold
+    gives them."""
     n = len(trace)
 
     if isinstance(formula, Predicate):
@@ -278,22 +282,22 @@ def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
             )
         return signal
     if isinstance(formula, Not):
-        return -_robustness_signal(formula.child, predicates, trace)
+        return -_robustness_signal(formula.child, predicates, trace, times)
     if isinstance(formula, (And, Or, Implies)):
-        left = _robustness_signal(formula.left, predicates, trace)
-        right = _robustness_signal(formula.right, predicates, trace)
+        left = _robustness_signal(formula.left, predicates, trace, times)
+        right = _robustness_signal(formula.right, predicates, trace, times)
         if isinstance(formula, Implies):
             # Same value as the parse-time desugaring Or(Not(left), right).
             left = -left
         return _pick(left, right, minimize=isinstance(formula, And))
     if isinstance(formula, Next):
-        child = _robustness_signal(formula.child, predicates, trace)
+        child = _robustness_signal(formula.child, predicates, trace, times)
         return np.append(child[1:], -_INF)
     if isinstance(formula, (Eventually, Always)):
-        child = _robustness_signal(formula.child, predicates, trace)
+        child = _robustness_signal(formula.child, predicates, trace, times)
         minimize = isinstance(formula, Always)
         if formula.bound is not None:
-            starts, stops = _window_bounds(trace.times, formula.bound)
+            starts, stops = _window_bounds(times(), formula.bound)
             return _sliding_extrema(child, starts, stops, minimize)
         # suffix extrema; of equal values a left fold keeps the first, which
         # matters only for a zero, and which zero np.minimum returns is not
@@ -306,9 +310,9 @@ def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
             out = np.where(out == 0.0, child[np.minimum(first, n - 1)], out)
         return out
     if isinstance(formula, Until):
-        left = _robustness_signal(formula.left, predicates, trace)
-        right = _robustness_signal(formula.right, predicates, trace)
-        return _until_signal(left, right, trace.times, formula.bound)
+        left = _robustness_signal(formula.left, predicates, trace, times)
+        right = _robustness_signal(formula.right, predicates, trace, times)
+        return _until_signal(left, right, times, formula.bound)
     raise ValidationError(f"not a formula node: {formula!r}")
 
 
@@ -322,7 +326,9 @@ def evaluate(formula: Formula, predicates: PredicateMap | None, trace: Trace,
     # predicate terms and window ends may overflow to +-inf, and opposite
     # infinite terms give a NaN that the predicate branch rejects: no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(_robustness_signal(formula, predicates, trace)[at])
+        # one conversion, made by the first bounded operator that needs it
+        times = cache(lambda: np.fromiter(trace.times, float, len(trace)))
+        return float(_robustness_signal(formula, predicates, trace, times)[at])
 
 
 # --- qualitative oracle ------------------------------------------------------

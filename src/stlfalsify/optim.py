@@ -197,6 +197,10 @@ def annealing_step(
     return proposal, accept
 
 
+class _OutOfBudget(Exception):
+    """A local search has spent its objective calls."""
+
+
 def _nelder_mead(
     objective: Objective,
     start: tuple[float, ...],
@@ -208,9 +212,6 @@ def _nelder_mead(
     2, contraction 0.5, shrink 0.5.  Returns the best point seen."""
     calls = 0
     best_seen: Evaluation | None = None
-
-    class _OutOfBudget(Exception):
-        pass
 
     def measure(point: tuple[float, ...]) -> float:
         nonlocal calls, best_seen
@@ -376,10 +377,12 @@ class Basinhopping:
     def __init__(self, hop_radius: float = 0.1, local_budget: int = 50):
         if not 0.0 < hop_radius <= 1.0:
             raise ValidationError(f"hop_radius must be in (0, 1], got {hop_radius}")
+        if not isinstance(local_budget, int) or isinstance(local_budget, bool):
+            raise ValidationError(f"local_budget must be an integer, got {local_budget!r}")
         if local_budget < 1:
             raise ValidationError(f"local_budget must be >= 1, got {local_budget}")
         self.hop_radius = float(hop_radius)
-        self.local_budget = int(local_budget)
+        self.local_budget = local_budget
 
     def run(self, objective: Objective, space: SearchSpace, budget: int,
             rng: np.random.Generator) -> None:

@@ -32,6 +32,8 @@ import string
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
+import numpy as np
+
 from .errors import SimulationError, TraceValidationError, ValidationError
 from .monitor import Trace
 
@@ -64,13 +66,10 @@ class SimulationInput:
     signal_values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "static", tuple(float(x) for x in self.static))
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(
-            self,
-            "signal_values",
-            tuple(tuple(float(v) for v in row) for row in self.signal_values),
-        )
+        object.__setattr__(self, "static", tuple(map(float, self.static)))
+        object.__setattr__(self, "times", tuple(map(float, self.times)))
+        object.__setattr__(self, "signal_values",
+                           tuple(tuple(map(float, row)) for row in self.signal_values))
         for earlier, later in zip(self.times, self.times[1:]):
             if not later > earlier:
                 raise ValidationError(
@@ -112,10 +111,17 @@ class Interpolator:
         return self.sample((t,))[0]
 
     def sample(self, times: Sequence[float]) -> list[float]:
-        """The signal at each of ``times``, computed in one walk over the
-        control times: linear in ``len(times)`` when ``times`` is
-        non-decreasing, as the integrator's stage times are."""
+        """The signal at each of ``times``, in any order; a NaN time raises
+        :class:`~stlfalsify.errors.ValidationError`."""
         raise NotImplementedError
+
+    def _bracket(self, times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """``times`` as an array, and for each the number of control times at
+        or before it, found by binary search; a NaN time is rejected."""
+        times = np.fromiter(times, float)
+        if np.isnan(times).any():
+            raise ValidationError("cannot sample a signal at a NaN time")
+        return times, np.searchsorted(self.control_times, times, "right")
 
 
 class PiecewiseConstant(Interpolator):
@@ -130,19 +136,10 @@ class PiecewiseConstant(Interpolator):
         super().__init__(interval, values)
 
     def sample(self, times: Sequence[float]) -> list[float]:
-        control = self.control_times
-        values = self.control_values
-        last = len(control) - 1
-        low = 0
-        out = []
-        for t in times:
-            # rightmost control time <= t, else index 0
-            while low < last and control[low + 1] <= t:
-                low += 1
-            while low > 0 and control[low] > t:
-                low -= 1
-            out.append(values[low])
-        return out
+        # the value of the rightmost control time <= t, else the first value
+        _, count = self._bracket(times)
+        table = np.array(self.control_values[:1] + self.control_values)
+        return table[count].tolist()
 
 
 class PiecewiseLinear(Interpolator):
@@ -156,26 +153,17 @@ class PiecewiseLinear(Interpolator):
         super().__init__(interval, values)
 
     def sample(self, times: Sequence[float]) -> list[float]:
-        control = self.control_times
-        values = self.control_values
-        first, last = control[0], control[-1]
-        low = 0
-        out = []
-        for t in times:
-            if t <= first:
-                out.append(values[0])
-            elif t >= last:
-                out.append(values[-1])
-            else:
-                # the bracket control[low] <= t < control[low + 1]
-                while control[low + 1] <= t:
-                    low += 1
-                while control[low] > t:
-                    low -= 1
-                span = control[low + 1] - control[low]
-                weight = (t - control[low]) / span
-                out.append(values[low] + weight * (values[low + 1] - values[low]))
-        return out
+        times, count = self._bracket(times)
+        control, values = np.array(self.control_times), np.array(self.control_values)
+        # the bracket control[low] <= t < control[low + 1]; a time outside
+        # (first, last) takes an end value below, whatever its bracket gives
+        high = count.clip(1, len(control) - 1)
+        low = high - 1
+        with np.errstate(all="ignore"):
+            weight = (times - control[low]) / (control[high] - control[low])
+            inner = values[low] + weight * (values[high] - values[low])
+        out = np.where(times >= control[-1], values[-1], inner)
+        return np.where(times <= control[0], values[0], out).tolist()
 
 
 def interpolator_create(kind: str, interval: tuple[float, float],
@@ -225,7 +213,7 @@ def blackbox_simulate(func: BlackboxFunc, request: SimulationInput) -> Trace:
     except Exception as exc:
         raise SimulationError(f"blackbox function failed: {exc!r}") from exc
     try:
-        trace = Trace(tuple(timestamps), tuple(tuple(row) for row in trajectories))
+        trace = Trace(timestamps, trajectories)
     except (TypeError, ValueError, OverflowError) as exc:
         # not iterable, or an entry float() rejects: a string, None, an
         # integer beyond the float range
@@ -269,7 +257,7 @@ class Blackbox:
             raise ValidationError(f"inverted interval ({start}, {end})")
         if self.interpolate or not signals:
             times = _grid(start, end, self.steps)
-            rows = tuple(tuple(s.sample(times)) for s in signals)
+            rows = tuple(s.sample(times) for s in signals)
         else:
             counts = {len(s.control_values) for s in signals}
             if len(counts) != 1:

@@ -1,9 +1,9 @@
 """Bisection lookup of an interpolator's value: the oracle for ``sample``.
 
-``Interpolator.sample`` walks the control times once over a whole sequence
-of query times; this module finds each time's bracket on its own with a
-binary search over the same control times and applies the same arithmetic,
-so the two must agree bit for bit.
+``Interpolator.sample`` looks up a whole array of query times at once; this
+module finds each time's bracket on its own with a hand-written binary
+search over the same control times and applies the same arithmetic, so the
+two must agree bit for bit.
 """
 
 from stlfalsify.sut import PiecewiseConstant, PiecewiseLinear

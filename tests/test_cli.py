@@ -625,6 +625,17 @@ class TestMainValidation:
         )
         self.expect_error(capsys, [path], "format")
 
+    @pytest.mark.parametrize("value", [987654, ["out.csv"], True])
+    def test_output_path_must_be_a_string(self, tmp_path, capsys, value):
+        # an integer would otherwise be opened as a file descriptor once the
+        # campaign had run
+        path = write_config(tmp_path, "c.json", {"system": "oscillator",
+                                                 "output": {"path": value}})
+        assert main([path]) == 1
+        captured = capsys.readouterr()
+        assert "output.path must be a string" in captured.err
+        assert "run 0" not in captured.out
+
     def test_no_arguments(self, capsys):
         assert main([]) == 1
 

@@ -11,6 +11,7 @@ sliding-window and suffix-scan paths to match the naive oracle in
 import math
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -308,7 +309,8 @@ def tie_heavy_untils(draw, max_samples=40):
         st.tuples(signal, signal).map(lambda t: And(*t)),
         st.tuples(signal, signal).map(lambda t: Or(*t)),
     )
-    # a = 0, a > 0, b = a, b = inf and windows that start past the trace end
+    # a = 0 (no prefix), a > 0, b = a, b = inf and windows that start past
+    # the trace end
     lower = st.sampled_from((0.0, 0.5, 1.0, 2.5, 100.0))
     width = st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, math.inf))
     bound = st.tuples(lower, width).map(lambda t: TimeBound(t[0], t[0] + t[1]))
@@ -347,7 +349,7 @@ def encoded_until(left, right, bound):
 @settings(max_examples=300, deadline=None)
 @given(tie_heavy_untils())
 # Each of these reaches a tie between zeros of opposite sign inside the
-# two-stack queue of a bounded until, which random draws reach rarely.
+# composed maps of a bounded until, which random draws reach rarely.
 @example(encoded_until([0.0, -0.0, 1.0, 0.0, -0.0],
                        [-0.0, -0.0, -1.0, -1.0, -0.0], (0.0, 1.0)))
 @example(encoded_until([1.0, -0.0, 1.0, 0.0, -0.0],
@@ -355,6 +357,12 @@ def encoded_until(left, right, bound):
 @example(encoded_until([1.0, -0.0, 0.0, 1.0, 0.0, -0.0, 0.0],
                        [1.0, -1.0, -0.0, -1.0, -1.0, -1.0, 0.0], (0.0, 1.5)))
 @example(encoded_until([-0.0, -0.0, 0.0, -0.0], [1.0, -1.0, -1.0, 0.0], (0.0, 1.0)))
+# A lower bound above 0 adds the prefix minimum of the left operand, whose
+# ties between zeros of opposite sign these reach.
+@example(encoded_until([0.0, -0.0, 1.0, 0.0, -0.0, 1.0],
+                       [-0.0, 1.0, -1.0, 0.0, -0.0, 0.0], (0.5, 1.5)))
+@example(encoded_until([-0.0, 0.0, -0.0, 0.0, 1.0, -0.0, 0.0],
+                       [1.0, -0.0, 0.0, -1.0, -0.0, 0.0, -0.0], (1.0, 2.0)))
 def test_until_matches_naive_on_ties_bit_for_bit(scenario):
     formula, predicates, trace = scenario
     naive = naive_signal(formula, predicates, trace)
@@ -388,6 +396,7 @@ def tie_heavy_long_windows(draw, max_samples=100):
         st.tuples(literal, literal).map(lambda t: And(*t)),
         st.tuples(literal, literal).map(lambda t: Or(*t)),
     )
+    # a lower bound of 0 skips the until prefix, one above 0 computes it
     lower = st.sampled_from((0.0, 0.25, 1.0, 3.0, 100.0))
     width = st.sampled_from((0.0, 0.25, 1.0, 2.5, 6.0, 20.0, math.inf))
     bound = st.none() | st.tuples(lower, width).map(
@@ -441,5 +450,5 @@ def test_window_bounds_match_per_anchor_scan(gaps, lower, width, negative_start,
         window = window_indices(times, anchor, bound)
         expected[0].append(window.start)
         expected[1].append(window.stop)
-    starts, stops = _window_bounds(times, bound)
+    starts, stops = _window_bounds(np.array(times), bound)
     assert (starts.tolist(), stops.tolist()) == expected

@@ -1,6 +1,7 @@
 """Search engines: stepping primitives, budget accounting, reproducibility."""
 
 import dataclasses
+import gc
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from stlfalsify.optim import (
     SearchSpace,
     SimulatedAnnealing,
     UniformRandom,
+    _nelder_mead,
     _reflect,
     annealing_step,
     basinhop_step,
@@ -171,6 +173,17 @@ class TestBasinhopStep:
     def test_local_budget_validated(self):
         with pytest.raises(ValidationError):
             basinhop_step(make_rng(0), Evaluation((0.5,), 1.0), sphere, UNIT, 0)
+
+    def test_local_search_leaves_no_cyclic_garbage(self):
+        # the out-of-budget signal is one module-level class, not a new
+        # class per call that only the cyclic collector frees
+        gc.collect()
+        gc.disable()
+        try:
+            _nelder_mead(sphere, (0.9, 0.2), SQUARE, 7)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOptimize:
@@ -390,6 +403,12 @@ class TestCreateEngine:
             create_engine("basinhopping", {"hop_radius": 2.0})
         with pytest.raises(ValidationError):
             create_engine("basinhopping", {"local_budget": 0})
+
+    @pytest.mark.parametrize("budget", [2.7, 50.0, True, "50"])
+    def test_local_budget_must_be_an_integer(self, budget):
+        # no truncation: 2.7 is not 2 and True is not 1
+        with pytest.raises(ValidationError, match="local_budget must be an integer"):
+            create_engine("basinhopping", {"local_budget": budget})
 
 
 class TestSummationOrder:

@@ -81,6 +81,23 @@ class TestInterpolators:
             assert abs(left - signal.at(breakpoint)) < 1e-6
             assert abs(right - signal.at(breakpoint)) < 1e-6
 
+    @pytest.mark.parametrize("kind", ["piecewise-constant", "piecewise-linear"])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_time_rejected(self, kind, position):
+        # a NaN is neither before nor after any control time, so its value
+        # would depend on the order of the lookup
+        signal = interpolator_create(kind, (0.0, 3.0), [1.0, 2.0, 3.0])
+        times = [0.5, 2.0, 2.5]
+        times[position] = math.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            signal.sample(times)
+
+    @pytest.mark.parametrize("kind", ["piecewise-constant", "piecewise-linear"])
+    def test_nan_at_rejected(self, kind):
+        signal = interpolator_create(kind, (0.0, 3.0), [1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match="NaN"):
+            signal.at(math.nan)
+
     def test_linear_needs_two_values(self):
         with pytest.raises(ValidationError):
             interpolator_create("piecewise-linear", (0.0, 1.0), [1.0])
@@ -396,12 +413,13 @@ class TestSampleWalk:
         grid = [start + span * k / steps for k in range(steps + 1)]
         half = span / steps / 2.0
         # RK4 stage times, the control times themselves, and times outside
-        # the interval, in walking order
+        # the interval, infinite ones included, in increasing order
+        outside = st.floats(start - 5.0, end + 5.0) | st.sampled_from((-math.inf, math.inf))
         times = sorted(
             grid
             + [t + half for t in grid[:-1]]
             + list(signal.control_times)
-            + data.draw(st.lists(st.floats(start - 5.0, end + 5.0), max_size=10))
+            + data.draw(st.lists(outside, max_size=10))
         )
         expected = [bisect_at(signal, t) for t in times]
         assert all(map(bit_equal, signal.sample(times), expected))
@@ -410,11 +428,27 @@ class TestSampleWalk:
     @given(interval_and_signal(), st.data())
     def test_walk_matches_at_in_any_order(self, setup, data):
         (start, end), signal = setup
-        points = st.sampled_from(signal.control_times) | st.floats(start - 1.0, end + 1.0)
+        points = (st.sampled_from(signal.control_times) | st.floats(start - 1.0, end + 1.0)
+                  | st.sampled_from((-math.inf, math.inf)))
         times = data.draw(st.lists(points, max_size=20))
         expected = [bisect_at(signal, t) for t in times]
         assert all(map(bit_equal, signal.sample(times), expected))
         assert all(map(bit_equal, map(signal.at, times), expected))
+
+    @settings(max_examples=50, deadline=None)
+    @given(interval_and_signal(), st.integers(0, 2**32 - 1))
+    def test_long_unsorted_queries_match_at(self, setup, seed):
+        # 10^3 times in random order: the control times, both infinities
+        # and times in and around the interval
+        (start, end), signal = setup
+        rng = np.random.default_rng(seed)
+        special = list(signal.control_times) + [-math.inf, math.inf]
+        times = np.concatenate((special, rng.uniform(start - 1.0, end + 1.0,
+                                                     1000 - len(special))))
+        rng.shuffle(times)
+        times = times.tolist()
+        expected = [bisect_at(signal, t) for t in times]
+        assert all(map(bit_equal, signal.sample(times), expected))
 
     def test_single_control_point(self):
         signal = interpolator_create("piecewise-constant", (0.0, 2.0), [3.5])
