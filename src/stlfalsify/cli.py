@@ -93,8 +93,9 @@ def extern_blackbox(
     command = [str(part) for part in command]
     if not command:
         raise ValidationError("extern system needs a non-empty command")
-    if not timeout > 0:
-        raise ValidationError(f"timeout must be positive, got {timeout}")
+    # communicate() waits in poll(), whose limit is 2**31 - 1 milliseconds
+    if not 0 < timeout <= 2147483.647:
+        raise ValidationError(f"timeout must be in (0, 2147483.647] s, got {timeout}")
     spares = threading.local()
 
     def launch() -> subprocess.Popen:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import chain
 from operator import add, mul
 from typing import Callable, Sequence
@@ -170,44 +170,40 @@ def _pick(left: np.ndarray, right: np.ndarray, minimize: bool) -> np.ndarray:
     return np.where(right < left if minimize else right > left, right, left)
 
 
-def _sliding_extrema(values: np.ndarray, starts: np.ndarray, stops: np.ndarray,
-                     minimize: bool) -> np.ndarray:
-    """Min/max of ``values[starts[i]:stops[i]]`` for every ``i``, +inf/-inf
-    when empty.  A sparse table: row ``k`` holds the extremum of every run
-    of ``2**k`` samples, and a window is covered by two overlapping runs.
-    The earlier run and half are kept on a tie, the tie rule of a left fold
-    over the range."""
-    n = len(values)
+def _windows(values: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+             combine: Callable, empty) -> np.ndarray:
+    """``combine`` folded over ``values[..., starts[i]:stops[i]]`` for every
+    ``i``, ``empty`` for an empty window; the last axis runs over samples.
+    Row ``k`` of a sparse table holds the fold of each whole run of ``2**k``
+    samples, and a window is the fold of the two runs of ``2**floor(log2 L)``
+    samples that start and end it (Bender and Farach-Colton, LATIN 2000).
+    They overlap, which is exact as ``combine(x, x)`` is ``x`` bit for bit
+    and grouping changes no bit: true of a min or max that keeps the earlier
+    operand on a tie, and of composed ``until`` maps."""
+    n = values.shape[-1]
     lengths = stops - starts
-    rows = np.frexp(np.maximum(lengths, 1))[1] - 1   # floor(log2(length))
-    table = np.empty((int(rows.max()) + 1, n))
-    table[0] = values
-    for k in range(1, len(table)):
-        half = 1 << (k - 1)
-        table[k, :n - half] = _pick(table[k - 1, :n - half], table[k - 1, half:],
-                                    minimize)
-        table[k, n - half:] = table[k - 1, n - half:]  # runs cut at the end
-    first = table[rows, np.minimum(starts, n - 1)]
-    last = table[rows, stops - (1 << rows)]
-    empty = _INF if minimize else -_INF
-    return np.where(lengths > 0, _pick(first, last, minimize), empty)
+    levels = np.frexp(np.maximum(lengths, 1))[1] - 1   # floor(log2(length))
+    table = np.empty(values.shape[:-1] + (int(levels.max()) + 1, n))
+    table[..., 0, :] = values
+    for k in range(1, table.shape[-2]):
+        half, runs = 1 << (k - 1), n - (1 << k) + 1
+        table[..., k, :runs] = combine(table[..., k - 1, :runs],
+                                       table[..., k - 1, half:half + runs])
+    # a flat take gathers far faster than a (level, sample) fancy index
+    flat, row = table.reshape(values.shape[:-1] + (-1,)), levels * n
+    first = flat.take(row + np.minimum(starts, n - 1), axis=-1)
+    last = flat.take(row + stops - (1 << levels), axis=-1)
+    # an empty window combines ``empty`` with itself, which gives it back
+    first[..., lengths == 0] = last[..., lengths == 0] = empty
+    return combine(first, last)
 
 
-def _compose(outer: tuple[np.ndarray, np.ndarray],
-             inner: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _compose(outer: Sequence[np.ndarray],
+             inner: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The pair of ``outer o inner``, where ``(A, B)`` stands for the map
     ``x -> max(A, min(B, x))`` and ``outer`` covers the earlier samples."""
     (a, b), (inner_a, inner_b) = outer, inner
     return _pick(a, _pick(b, inner_a, True), False), _pick(b, inner_b, True)
-
-
-def _double(pair: tuple[np.ndarray, np.ndarray], size: int) -> None:
-    """Turn the pairs of the runs of ``size`` samples from every index into
-    those of ``2 * size`` samples, in place; a run cut at the end holds the
-    maps up to it."""
-    a, b = pair
-    cut = len(a) - size
-    a[:cut], b[:cut] = _compose((a[:cut], b[:cut]), (a[size:], b[size:]))
 
 
 def _until_signal(left: np.ndarray, right: np.ndarray, times: Callable[[], np.ndarray],
@@ -217,33 +213,25 @@ def _until_signal(left: np.ndarray, right: np.ndarray, times: Callable[[], np.nd
     Sample ``j`` acts as ``f_j(x) = max(right[j], min(left[j], x))``; a
     composed map is a pair ``(A, B)`` for ``x -> max(A, min(B, x))``, and
     ``A`` is its value at -inf (Donze, Ferrere and Maler, CAV 2013).
-    Unbounded: ``f_i o ... o f_{n-1}`` by a doubling suffix scan.  Bounded:
-    ``min(pre_i, W_i)``, ``pre_i`` the minimum of ``left`` before the window
-    and ``W_i`` its maps by binary lifting, one run per bit of its length,
-    side by side.  Every min and max keeps its earlier operand on a tie, as
-    a per-anchor fold does, so the grouping changes no bit."""
+    Unbounded: ``f_i o ... o f_{n-1}`` by a doubling suffix scan, in place.
+    Bounded: ``min(pre_i, W_i)``, ``pre_i`` the minimum of ``left`` before
+    the window and ``W_i`` the composition of its maps, both by
+    :func:`_windows`.  Every min and max keeps its earlier operand on a tie,
+    as a per-anchor fold does, so the grouping changes no bit."""
     n = len(left)
-    # index n holds the identity map, for the runs a window leaves out
-    pair = (np.append(right, -_INF), np.append(left, _INF))
     if bound is None:
+        a, b = right.copy(), left.copy()
         for k in range((n - 1).bit_length()):  # until a run reaches the end
-            _double(pair, 1 << k)
-        return pair[0][:n]
+            size = 1 << k
+            a[:-size], b[:-size] = _compose((a[:-size], b[:-size]), (a[size:], b[size:]))
+        return a
     starts, stops = _window_bounds(times(), bound)
-    lengths = stops - starts
-    window = (np.full(n, -_INF), np.full(n, _INF))
-    position = starts
-    for k in range(int(lengths.max()).bit_length()):
-        if k:
-            _double(pair, 1 << (k - 1))
-        bit = lengths & (1 << k)
-        index = np.where(bit, position, n)
-        window = _compose(window, (pair[0][index], pair[1][index]))
-        position = position + bit
+    identity = ((-_INF,), (_INF,))  # x -> x, the map of an empty window
+    window = _windows(np.array((right, left)), starts, stops, _compose, identity)[0]
     if bound.lower == 0:
-        return window[0]
-    pre = _sliding_extrema(left, np.arange(n), starts, minimize=True)
-    return _pick(pre, window[0], True)
+        return window
+    pre = _windows(left, np.arange(n), starts, partial(_pick, minimize=True), _INF)
+    return _pick(pre, window, True)
 
 
 def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
@@ -298,7 +286,8 @@ def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
         minimize = isinstance(formula, Always)
         if formula.bound is not None:
             starts, stops = _window_bounds(times(), formula.bound)
-            return _sliding_extrema(child, starts, stops, minimize)
+            return _windows(child, starts, stops, partial(_pick, minimize=minimize),
+                            _INF if minimize else -_INF)
         # suffix extrema; of equal values a left fold keeps the first, which
         # matters only for a zero, and which zero np.minimum returns is not
         # specified: take the sign of the first zero from i on

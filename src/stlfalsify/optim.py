@@ -82,11 +82,6 @@ class SearchSpace:
     def dimension(self) -> int:
         return len(self.bounds)
 
-    def contains(self, sample: Sequence[float]) -> bool:
-        return len(sample) == len(self.bounds) and all(
-            lo <= x <= hi for x, (lo, hi) in zip(sample, self.bounds)
-        )
-
     def clamp(self, sample: Sequence[float]) -> tuple[float, ...]:
         return tuple(
             min(max(float(x), lo), hi) for x, (lo, hi) in zip(sample, self.bounds)

@@ -36,7 +36,8 @@ from .optim import (
     optimize,
 )
 from .stl import Formula, PredicateMap, parse_formula
-from .sut import INTERPOLATOR_KINDS, Interpolator, System, interpolator_create
+from .sut import (INTERPOLATOR_KINDS, Interpolator, System, _checked_interval,
+                  interpolator_create)
 
 __all__ = [
     "SignalOptions",
@@ -110,8 +111,7 @@ class Options:
         )
         object.__setattr__(self, "static_params", statics)
         object.__setattr__(self, "signals", tuple(self.signals))
-        start, end = float(self.interval[0]), float(self.interval[1])
-        object.__setattr__(self, "interval", (start, end))
+        object.__setattr__(self, "interval", _checked_interval(self.interval))
 
         if not statics and not self.signals:
             raise ValidationError(
@@ -138,8 +138,6 @@ class Options:
             raise ValidationError(f"runs must be >= 1, got {self.runs}")
         if not isinstance(self.behavior, Behavior):
             raise ValidationError(f"behavior must be a Behavior, got {self.behavior!r}")
-        if not start < end:
-            raise ValidationError(f"inverted interval ({start}, {end})")
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
         if not isinstance(self.error_policy, ErrorPolicy):

@@ -56,6 +56,18 @@ INTERPOLATOR_KINDS = ("piecewise-constant", "piecewise-linear")
 DEFAULT_STEPS = 1000
 
 
+def _checked_interval(interval: tuple[float, float]) -> tuple[float, float]:
+    """``interval`` as two floats ``start < end`` a finite length apart, else
+    a :class:`~stlfalsify.errors.ValidationError`."""
+    start, end = float(interval[0]), float(interval[1])
+    if not start < end:
+        raise ValidationError(f"inverted interval ({start}, {end})")
+    # an infinite end, or finite ends whose difference overflows
+    if not math.isfinite(end - start):
+        raise ValidationError(f"interval ({start}, {end}) must have a finite length")
+    return start, end
+
+
 @dataclass(frozen=True)
 class SimulationInput:
     """One simulation request: static parameters ``static``, time grid
@@ -93,9 +105,7 @@ class Interpolator:
     kind: str
 
     def __init__(self, interval: tuple[float, float], values: Sequence[float]):
-        start, end = float(interval[0]), float(interval[1])
-        if not start < end:
-            raise ValidationError(f"inverted interval ({start}, {end})")
+        start, end = _checked_interval(interval)
         self.interval = (start, end)
         self.control_values = tuple(float(v) for v in values)
         count = len(self.control_values)
@@ -252,9 +262,7 @@ class Blackbox:
 
     def simulate(self, static: Sequence[float], signals: Sequence[Interpolator],
                  interval: tuple[float, float]) -> Trace:
-        start, end = float(interval[0]), float(interval[1])
-        if not start < end:
-            raise ValidationError(f"inverted interval ({start}, {end})")
+        start, end = _checked_interval(interval)
         if self.interpolate or not signals:
             times = _grid(start, end, self.steps)
             rows = tuple(s.sample(times) for s in signals)
@@ -418,9 +426,7 @@ def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
     """
     if not step > 0:
         raise ValidationError(f"step must be positive, got {step}")
-    start, end = float(interval[0]), float(interval[1])
-    if not start < end:
-        raise ValidationError(f"inverted interval ({start}, {end})")
+    start, end = _checked_interval(interval)
     span = end - start
     steps = max(1, round(span / step))
     h = span / steps

@@ -164,6 +164,18 @@ class TestExternBlackbox:
         with pytest.raises(ValidationError):
             extern_blackbox(["true"], timeout=0.0)
 
+    @pytest.mark.parametrize("timeout", [2147483.648, math.inf])
+    def test_timeout_past_the_poll_limit_rejected(self, timeout):
+        # communicate() waits in poll(), which takes at most 2**31 - 1 ms; a
+        # longer timeout fails every call with OverflowError
+        with pytest.raises(ValidationError, match=r"in \(0, 2147483.647\] s"):
+            extern_blackbox(["true"], timeout=timeout)
+
+    def test_longest_timeout_makes_a_call(self, tmp_path):
+        child = write_child(tmp_path, "echo.py", ECHO_CHILD)
+        system = extern_blackbox(child, steps=2, timeout=2147483.647)
+        assert system.simulate((0.5,), (), (0.0, 1.0)).times == (0.0, 0.5, 1.0)
+
     def test_unlaunchable_command(self, tmp_path):
         system = extern_blackbox([str(tmp_path / "no-such-binary")], steps=2)
         with pytest.raises(SimulationError, match="could not launch"):
@@ -616,6 +628,20 @@ class TestMainValidation:
             "variables": ["x"], "predicates": [],
         })
         self.expect_error(capsys, [path], f"system.{key} must be a boolean")
+
+    def test_infinite_interval_rejected(self, tmp_path, capsys):
+        # a message and exit code 1, not an OverflowError from the integrator
+        path = write_config(tmp_path, "c.json", {
+            "system": "oscillator", "options": {"interval": [0.0, math.inf]}})
+        self.expect_error(capsys, [path], "finite length")
+
+    def test_timeout_past_the_poll_limit_rejected(self, tmp_path, capsys):
+        # exit code 1 before the campaign, not a campaign of failed calls
+        path = write_config(tmp_path, "c.json", {
+            "system": {"extern": ["true"], "timeout": math.inf}, "spec": "p1",
+            "variables": ["x"], "predicates": [],
+            "options": {"static_params": [[0.0, 1.0]], "iterations": 2}})
+        self.expect_error(capsys, [path], "timeout must be in")
 
     def test_bad_output_format(self, tmp_path, capsys):
         path = write_config(

@@ -346,6 +346,13 @@ def encoded_until(left, right, bound):
     return Until(*operands, TimeBound(*bound)), predicates, trace
 
 
+def encoded_window(operator, values, bound):
+    """``operator`` (``Always`` or ``Eventually``) over an operand that takes
+    exactly ``values``, encoded as in :func:`encoded_until`."""
+    until, predicates, trace = encoded_until(values, values, bound)
+    return operator(until.left, until.bound), predicates, trace
+
+
 @settings(max_examples=300, deadline=None)
 @given(tie_heavy_untils())
 # Each of these reaches a tie between zeros of opposite sign inside the
@@ -415,8 +422,34 @@ def tie_heavy_long_windows(draw, max_samples=100):
     return formula, predicates, trace
 
 
+# One extreme sample among ties at 0.5 s spacing: a run of the sparse table
+# that leaves a window or misses one of its samples moves it to a wrong anchor.
+ONE_LOW = [1.0, 0.0, 1.0, -0.0, 1.0, 1.0, -1.0, 1.0, 0.0, 1.0, 1.0, -0.0, 1.0]
+ONE_HIGH = [-v for v in ONE_LOW]
+
+
 @settings(max_examples=200, deadline=None)
 @given(tie_heavy_long_windows())
+# windows of exactly 2**k and 2**k + 1 samples, k = 2 and 3
+@example(encoded_window(Always, ONE_LOW, (0.0, 1.5)))
+@example(encoded_window(Eventually, ONE_HIGH, (0.0, 2.0)))
+@example(encoded_window(Always, ONE_LOW, (0.0, 3.5)))
+@example(encoded_until(ONE_HIGH, ONE_LOW, (0.0, 4.0)))
+@example(encoded_until(ONE_LOW, ONE_HIGH, (0.0, 3.5)))
+# windows that end at the last sample
+@example(encoded_window(Eventually, ONE_HIGH, (0.5, math.inf)))
+@example(encoded_until(ONE_LOW, ONE_LOW, (0.0, math.inf)))
+# empty windows: the lower limit is past the trace for the later anchors,
+# or for all of them
+@example(encoded_window(Always, ONE_LOW, (3.0, 4.0)))
+@example(encoded_until(ONE_HIGH, ONE_LOW, (2.5, 3.0)))
+@example(encoded_window(Eventually, ONE_HIGH, (100.0, 101.0)))
+@example(encoded_until(ONE_LOW, ONE_HIGH, (100.0, math.inf)))
+# a lower limit above 0: the prefix minimum of the left operand stops just
+# before the window, whose first sample holds that operand's minimum
+@example(encoded_window(Always, ONE_LOW, (1.0, 2.5)))
+@example(encoded_until([1.0, 1.0, -1.0, 1.0, 1.0], [1.0] * 5, (1.0, 1.0)))
+@example(encoded_until(ONE_LOW, ONE_HIGH, (1.5, 2.0)))
 def test_long_windows_match_naive_on_ties_bit_for_bit(scenario):
     formula, predicates, trace = scenario
     naive = naive_signal(formula, predicates, trace)

@@ -118,6 +118,11 @@ class TestOptions:
         with pytest.raises(ValidationError):
             Options(static_params=((0.0, 1.0),), interval=(5.0, 5.0))
 
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0)])
+    def test_interval_of_infinite_length_rejected(self, interval):
+        with pytest.raises(ValidationError, match="finite length"):
+            Options(static_params=((0.0, 1.0),), interval=interval)
+
     @pytest.mark.parametrize("field", ["iterations", "runs"])
     @pytest.mark.parametrize("value", [2.5, 1.0, True, "3"])
     def test_non_integer_counts_rejected(self, field, value):

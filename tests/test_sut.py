@@ -114,6 +114,13 @@ class TestInterpolators:
         with pytest.raises(ValidationError):
             interpolator_create("piecewise-constant", (1.0, 0.0), [1.0])
 
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 0.0),
+                                          (-1e308, 1e308)])
+    def test_interval_of_infinite_length_rejected(self, interval):
+        # an infinite length gives NaN signal values
+        with pytest.raises(ValidationError, match="finite length"):
+            interpolator_create("piecewise-linear", interval, (0.0, 1.0))
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from(["piecewise-constant", "piecewise-linear"]),
@@ -191,6 +198,10 @@ class TestBlackboxSimulate:
 
 
 class TestBlackboxSystem:
+    def test_interval_of_infinite_length_rejected(self):
+        with pytest.raises(ValidationError, match="finite length"):
+            Blackbox(echo, steps=4).simulate((), (), (0.0, math.inf))
+
     def test_dense_grid_has_steps_plus_one_points(self):
         captured = {}
 
@@ -239,6 +250,11 @@ class TestBlackboxSystem:
 
 
 class TestOdeSimulate:
+    def test_interval_of_infinite_length_rejected(self):
+        # not the OverflowError of round(inf / step)
+        with pytest.raises(ValidationError, match="finite length"):
+            ode_simulate(lambda t, x, u: (0.0,), (1.0,), (0.0, math.inf), (), 0.25)
+
     def test_zero_derivative_holds_state(self):
         trace = ode_simulate(lambda t, x, u: (0.0,), (1.0,), (0.0, 1.0), (), 0.25)
         assert trace.times == (0.0, 0.25, 0.5, 0.75, 1.0)
