@@ -50,9 +50,7 @@ from .sut import (
     Blackbox,
     Interpolator,
     OdeSystem,
-    SimulationInput,
     System,
-    blackbox_simulate,
     interpolator_create,
     ode_simulate,
 )
@@ -95,9 +93,8 @@ __all__ = [
     # monitoring
     "Trace", "evaluate", "evaluate_boolean", "predicate_robustness",
     # systems under test
-    "SimulationInput", "Interpolator", "interpolator_create", "Blackbox",
-    "blackbox_simulate", "OdeSystem", "ode_simulate", "System",
-    "extern_blackbox",
+    "Interpolator", "interpolator_create", "Blackbox", "OdeSystem",
+    "ode_simulate", "System", "extern_blackbox",
     # optimization
     "SearchSpace", "Evaluation", "Behavior", "optimize", "create_engine",
     "ENGINES", "UniformRandom", "SimulatedAnnealing", "Basinhopping",

@@ -73,7 +73,7 @@ class _ExternBlackbox(Blackbox):
 
 
 def extern_blackbox(
-    command: Sequence[str],
+    command: str | Sequence[str],
     steps: int = DEFAULT_STEPS,
     timeout: float = 60.0,
     interpolate: bool = True,
@@ -89,7 +89,10 @@ def extern_blackbox(
     nonzero exit status, malformed output, or exceeding ``timeout`` seconds
     is reported as a simulation error carrying the child's standard error.
     Inside ``session()``, each call also launches the next call's child.
+    A ``str`` command is one program name with no arguments; it is not split.
     """
+    if isinstance(command, str):
+        command = [command]
     command = [str(part) for part in command]
     if not command:
         raise ValidationError("extern system needs a non-empty command")
@@ -301,9 +304,6 @@ def _build_campaign(config: dict, args: argparse.Namespace) -> _Campaign:
             system = benchmark.system
         elif "extern" in system_cfg:
             _check_keys(system_cfg, _EXTERN_KEYS, "system")
-            command = system_cfg["extern"]
-            if isinstance(command, str):
-                command = [command]
             fields = {}
             if "steps" in system_cfg:
                 fields["steps"] = system_cfg["steps"]
@@ -312,7 +312,7 @@ def _build_campaign(config: dict, args: argparse.Namespace) -> _Campaign:
             for key in ("interpolate", "reentrant"):
                 if key in system_cfg:
                     fields[key] = _boolean(system_cfg[key], f"system.{key}")
-            system = extern_blackbox(command, **fields)
+            system = extern_blackbox(system_cfg["extern"], **fields)
         else:
             raise ValidationError("system must name a 'benchmark' or an 'extern' command")
     else:

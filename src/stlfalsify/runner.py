@@ -36,7 +36,7 @@ from .optim import (
     optimize,
 )
 from .stl import Formula, PredicateMap, parse_formula
-from .sut import (INTERPOLATOR_KINDS, Interpolator, System, _checked_interval,
+from .sut import (INTERPOLATORS, Interpolator, System, _checked_interval,
                   interpolator_create)
 
 __all__ = [
@@ -78,12 +78,13 @@ class SignalOptions:
             raise ValidationError(
                 f"signal bound lower {lo} must be below upper {hi}"
             )
-        if self.interpolator not in INTERPOLATOR_KINDS:
+        # a kind read from JSON may be a list, which a dict lookup rejects
+        if not isinstance(self.interpolator, str) or self.interpolator not in INTERPOLATORS:
             raise ValidationError(
                 f"unknown interpolator {self.interpolator!r}; "
-                f"choose one of {INTERPOLATOR_KINDS}"
+                f"choose one of {tuple(INTERPOLATORS)}"
             )
-        minimum = 2 if self.interpolator == "piecewise-linear" else 1
+        minimum = INTERPOLATORS[self.interpolator].min_points
         if self.control_points < minimum:
             raise ValidationError(
                 f"{self.interpolator} signal needs at least {minimum} control "

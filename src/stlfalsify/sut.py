@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import string
-from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -38,18 +37,14 @@ from .errors import SimulationError, TraceValidationError, ValidationError
 from .monitor import Trace
 
 __all__ = [
-    "SimulationInput",
     "Interpolator",
     "interpolator_create",
     "Blackbox",
-    "blackbox_simulate",
     "OdeSystem",
     "ode_simulate",
     "System",
-    "INTERPOLATOR_KINDS",
+    "INTERPOLATORS",
 ]
-
-INTERPOLATOR_KINDS = ("piecewise-constant", "piecewise-linear")
 
 #: Default number of integrator steps across the simulation interval; also
 #: sets the density of the time grid handed to a blackbox.
@@ -68,33 +63,6 @@ def _checked_interval(interval: tuple[float, float]) -> tuple[float, float]:
     return start, end
 
 
-@dataclass(frozen=True)
-class SimulationInput:
-    """One simulation request: static parameters ``static``, time grid
-    ``times``, and one row of signal values per input signal."""
-
-    static: tuple[float, ...]
-    times: tuple[float, ...]
-    signal_values: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "static", tuple(map(float, self.static)))
-        object.__setattr__(self, "times", tuple(map(float, self.times)))
-        object.__setattr__(self, "signal_values",
-                           tuple(tuple(map(float, row)) for row in self.signal_values))
-        for earlier, later in zip(self.times, self.times[1:]):
-            if not later > earlier:
-                raise ValidationError(
-                    f"simulation times must be strictly increasing, "
-                    f"{later} follows {earlier}"
-                )
-        for row in self.signal_values:
-            if len(row) != len(self.times):
-                raise ValidationError(
-                    f"signal row has {len(row)} values for {len(self.times)} times"
-                )
-
-
 class Interpolator:
     """Expands control points into a signal over ``[start, end]``.
 
@@ -103,19 +71,17 @@ class Interpolator:
     """
 
     kind: str
+    #: The fewest control values the kind accepts.
+    min_points: int
 
     def __init__(self, interval: tuple[float, float], values: Sequence[float]):
+        if len(values) < self.min_points:
+            raise ValidationError(f"{self.kind} signal needs at least {self.min_points} "
+                                  f"value{'s' * (self.min_points > 1)}")
         start, end = _checked_interval(interval)
         self.interval = (start, end)
         self.control_values = tuple(float(v) for v in values)
-        count = len(self.control_values)
-        if count == 1:
-            self.control_times = (start,)
-        else:
-            span = end - start
-            self.control_times = tuple(
-                start + span * k / (count - 1) for k in range(count)
-            )
+        self.control_times = _grid(start, end, len(self.control_values) - 1)
 
     def at(self, t: float) -> float:
         return self.sample((t,))[0]
@@ -139,11 +105,7 @@ class PiecewiseConstant(Interpolator):
     last control value."""
 
     kind = "piecewise-constant"
-
-    def __init__(self, interval: tuple[float, float], values: Sequence[float]):
-        if len(values) < 1:
-            raise ValidationError("piecewise-constant signal needs at least 1 value")
-        super().__init__(interval, values)
+    min_points = 1
 
     def sample(self, times: Sequence[float]) -> list[float]:
         # the value of the rightmost control time <= t, else the first value
@@ -156,11 +118,7 @@ class PiecewiseLinear(Interpolator):
     """Linear interpolant through the control points."""
 
     kind = "piecewise-linear"
-
-    def __init__(self, interval: tuple[float, float], values: Sequence[float]):
-        if len(values) < 2:
-            raise ValidationError("piecewise-linear signal needs at least 2 values")
-        super().__init__(interval, values)
+    min_points = 2
 
     def sample(self, times: Sequence[float]) -> list[float]:
         times, count = self._bracket(times)
@@ -176,16 +134,19 @@ class PiecewiseLinear(Interpolator):
         return np.where(times <= control[0], values[0], out).tolist()
 
 
+#: The built-in interpolator classes by kind name.
+INTERPOLATORS = {cls.kind: cls for cls in (PiecewiseConstant, PiecewiseLinear)}
+
+
 def interpolator_create(kind: str, interval: tuple[float, float],
                         values: Sequence[float]) -> Interpolator:
     """Factory for the built-in interpolator kinds."""
-    if kind == "piecewise-constant":
-        return PiecewiseConstant(interval, values)
-    if kind == "piecewise-linear":
-        return PiecewiseLinear(interval, values)
-    raise ValidationError(
-        f"unknown interpolator kind {kind!r}; choose one of {INTERPOLATOR_KINDS}"
-    )
+    # a kind read from JSON may be a list, which a dict lookup rejects
+    if not isinstance(kind, str) or kind not in INTERPOLATORS:
+        raise ValidationError(
+            f"unknown interpolator kind {kind!r}; choose one of {tuple(INTERPOLATORS)}"
+        )
+    return INTERPOLATORS[kind](interval, values)
 
 
 class System(Protocol):
@@ -205,40 +166,6 @@ BlackboxFunc = Callable[
 ]
 
 
-def blackbox_simulate(func: BlackboxFunc, request: SimulationInput) -> Trace:
-    """Run a blackbox function on one request and validate its output.
-
-    The returned timestamps must be strictly increasing, trajectories must
-    form one equal-length state row per timestamp, and the timestamps must
-    stay inside the request's time span (tolerance 1e-9).  A function that
-    raises is reported as a :class:`SimulationError`; malformed output,
-    including values ``float()`` rejects, is a :class:`TraceValidationError`.
-    """
-    try:
-        timestamps, trajectories = func(
-            request.static, request.times, request.signal_values
-        )
-    except SimulationError:
-        raise
-    except Exception as exc:
-        raise SimulationError(f"blackbox function failed: {exc!r}") from exc
-    try:
-        trace = Trace(timestamps, trajectories)
-    except (TypeError, ValueError, OverflowError) as exc:
-        # not iterable, or an entry float() rejects: a string, None, an
-        # integer beyond the float range
-        raise TraceValidationError(f"malformed blackbox output: {exc!r}") from exc
-    if request.times:
-        low = request.times[0] - 1e-9
-        high = request.times[-1] + 1e-9
-        if trace.times[0] < low or trace.times[-1] > high:
-            raise TraceValidationError(
-                f"returned timestamps [{trace.times[0]}, {trace.times[-1]}] leave "
-                f"the simulation interval [{request.times[0]}, {request.times[-1]}]"
-            )
-    return trace
-
-
 class Blackbox:
     """System under test defined by a user function ``(X, T, U)``.
 
@@ -247,6 +174,13 @@ class Blackbox:
     ``interpolate=False`` the raw control points are passed through
     uninterpolated instead: ``T`` is then the shared control-time grid, which
     requires every signal to declare the same number of control points.
+    ``X``, ``T`` and each row of ``U`` are tuples of floats.
+
+    The returned timestamps must be strictly increasing, trajectories must
+    form one equal-length state row per timestamp, and the timestamps must
+    stay inside ``T``'s time span (tolerance 1e-9).  A function that raises
+    is reported as a :class:`SimulationError`; malformed output, including
+    values ``float()`` rejects, is a :class:`TraceValidationError`.
     """
 
     def __init__(self, func: BlackboxFunc, steps: int = DEFAULT_STEPS,
@@ -265,7 +199,7 @@ class Blackbox:
         start, end = _checked_interval(interval)
         if self.interpolate or not signals:
             times = _grid(start, end, self.steps)
-            rows = tuple(s.sample(times) for s in signals)
+            rows = tuple(tuple(s.sample(times)) for s in signals)
         else:
             counts = {len(s.control_values) for s in signals}
             if len(counts) != 1:
@@ -275,19 +209,41 @@ class Blackbox:
                 )
             times = _grid(start, end, counts.pop() - 1)
             rows = tuple(s.control_values for s in signals)
-        request = SimulationInput(static, times, rows)
-        return blackbox_simulate(self.func, request)
+        try:
+            timestamps, trajectories = self.func(tuple(map(float, static)), times, rows)
+        except SimulationError:
+            raise
+        except Exception as exc:
+            raise SimulationError(f"blackbox function failed: {exc!r}") from exc
+        try:
+            trace = Trace(timestamps, trajectories)
+        except (TypeError, ValueError, OverflowError) as exc:
+            # not iterable, or an entry float() rejects: a string, None, an
+            # integer beyond the float range
+            raise TraceValidationError(f"malformed blackbox output: {exc!r}") from exc
+        if trace.times[0] < times[0] - 1e-9 or trace.times[-1] > times[-1] + 1e-9:
+            raise TraceValidationError(
+                f"returned timestamps [{trace.times[0]}, {trace.times[-1]}] leave "
+                f"the simulation interval [{times[0]}, {times[-1]}]"
+            )
+        return trace
 
 
 @functools.lru_cache(maxsize=32)
 def _grid(start: float, end: float, steps: int) -> tuple[float, ...]:
-    """``steps + 1`` evenly spaced times from ``start`` to ``end``.
+    """``steps + 1`` evenly spaced times from ``start`` to ``end``, ``(start,)``
+    for no steps: the control times of an interpolator and the time grid of
+    every system.  An interval too short for ``steps + 1`` strictly
+    increasing times is a :class:`~stlfalsify.errors.ValidationError`.
 
     Cached: a campaign asks for the same grid on every call.  ``-0.0`` and
     ``0.0`` share an entry, which is safe because the first point is
     ``start + 0.0``, ``0.0`` for both."""
     span = end - start
-    return tuple(start + span * k / steps for k in range(steps + 1))
+    grid = tuple(start + span * k / max(steps, 1) for k in range(steps + 1))
+    if not all(earlier < later for earlier, later in zip(grid, grid[1:])):
+        raise ValidationError(f"interval ({start}, {end}) is too short for {steps} steps")
+    return grid
 
 
 @functools.lru_cache(maxsize=32)
@@ -417,9 +373,11 @@ def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
     The interval is divided into ``round((end - start) / step)`` uniform
     steps (at least one) so both endpoints land exactly on the grid; the
     trace holds the state at every step boundary.  Each derivative call
-    receives the state as a new list; its result may be any iterable of
-    numbers, is read before the next call, is converted with ``float`` and
-    must have the state's length.
+    receives the state as a new list and the signal values as a tuple, one
+    per signal, which both midpoint stages of a step share; its result may
+    be any iterable of numbers, is read before the next call, is converted
+    with ``float`` and must have the state's length.  A step so small that
+    the step count is not finite is a :class:`ValidationError`.
     Integration aborts with a :class:`SimulationError` naming the time at
     which the state first went non-finite, or the stage time at which the
     derivative raised or returned the wrong dimension.
@@ -428,7 +386,10 @@ def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
         raise ValidationError(f"step must be positive, got {step}")
     start, end = _checked_interval(interval)
     span = end - start
-    steps = max(1, round(span / step))
+    count = span / step
+    if not math.isfinite(count):
+        raise ValidationError(f"step {step} is too small for interval ({start}, {end})")
+    steps = max(1, round(count))
     h = span / steps
     half = h / 2.0
     sixth = h / 6.0
@@ -437,9 +398,9 @@ def ode_simulate(derivative: DerivativeFunc, initial_state: Sequence[float],
     # every signal is sampled once at each stage time
     stages = _stage_times(start, end, steps)
     if signals:
-        inputs = list(map(list, zip(*(s.sample(stages) for s in signals))))
+        inputs = list(zip(*(s.sample(stages) for s in signals)))
     else:
-        inputs = [[]] * len(stages)
+        inputs = [()] * len(stages)
 
     state = [float(x) for x in initial_state]
     stage_rows = zip(stages[0::2], stages[1::2], stages[2::2],

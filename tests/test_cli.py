@@ -176,6 +176,12 @@ class TestExternBlackbox:
         system = extern_blackbox(child, steps=2, timeout=2147483.647)
         assert system.simulate((0.5,), (), (0.0, 1.0)).times == (0.0, 0.5, 1.0)
 
+    def test_string_command_is_one_program(self):
+        # not split into the programs "t", "r", "u", "e"
+        system = extern_blackbox("true", steps=2)
+        with pytest.raises(SimulationError, match="extern system 'true' produced no output"):
+            system.simulate((), (), (0.0, 1.0))
+
     def test_unlaunchable_command(self, tmp_path):
         system = extern_blackbox([str(tmp_path / "no-such-binary")], steps=2)
         with pytest.raises(SimulationError, match="could not launch"):

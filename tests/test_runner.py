@@ -74,7 +74,7 @@ class TestSignalOptions:
         assert SignalOptions(bound=(0.0, 1.0), control_points=1).control_points == 1
 
     def test_linear_needs_two_points(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="needs at least 2 control points, got 1"):
             SignalOptions(
                 bound=(0.0, 1.0), control_points=1, interpolator="piecewise-linear"
             )
@@ -86,6 +86,12 @@ class TestSignalOptions:
     def test_unknown_interpolator_rejected(self):
         with pytest.raises(ValidationError):
             SignalOptions(bound=(0.0, 1.0), interpolator="spline")
+
+    def test_unhashable_interpolator_rejected(self):
+        # a JSON config may give a list
+        with pytest.raises(ValidationError, match=r"choose one of \('piecewise-constant', "
+                                                  r"'piecewise-linear'\)"):
+            SignalOptions(bound=(0.0, 1.0), interpolator=["piecewise-linear"])
 
     @pytest.mark.parametrize("points", [2.7, 2.0, "3", True])
     def test_non_integer_control_points_rejected(self, points):

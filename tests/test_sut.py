@@ -12,8 +12,6 @@ from stlfalsify.monitor import Trace
 from stlfalsify.sut import (
     Blackbox,
     OdeSystem,
-    SimulationInput,
-    blackbox_simulate,
     interpolator_create,
     ode_simulate,
 )
@@ -26,21 +24,6 @@ def echo(static, times, signal_rows):
     else:
         states = [(0.0,)] * len(times)
     return times, states
-
-
-class TestSimulationInput:
-    def test_coerces_to_floats(self):
-        request = SimulationInput((1,), (0, 1), ((2, 3),))
-        assert request.static == (1.0,)
-        assert request.signal_values == ((2.0, 3.0),)
-
-    def test_non_increasing_times_rejected(self):
-        with pytest.raises(ValidationError):
-            SimulationInput((), (0.0, 0.0), ())
-
-    def test_row_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            SimulationInput((), (0.0, 1.0), ((1.0,),))
 
 
 class TestInterpolators:
@@ -99,20 +82,33 @@ class TestInterpolators:
             signal.at(math.nan)
 
     def test_linear_needs_two_values(self):
-        with pytest.raises(ValidationError):
+        message = "^piecewise-linear signal needs at least 2 values$"
+        with pytest.raises(ValidationError, match=message):
             interpolator_create("piecewise-linear", (0.0, 1.0), [1.0])
 
     def test_constant_needs_one_value(self):
-        with pytest.raises(ValidationError):
+        message = "^piecewise-constant signal needs at least 1 value$"
+        with pytest.raises(ValidationError, match=message):
             interpolator_create("piecewise-constant", (0.0, 1.0), [])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
             interpolator_create("spline", (0.0, 1.0), [1.0, 2.0])
 
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(ValidationError, match=r"choose one of \('piecewise-constant', "
+                                                  r"'piecewise-linear'\)"):
+            interpolator_create(["piecewise-linear"], (0.0, 1.0), [1.0, 2.0])
+
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValidationError):
             interpolator_create("piecewise-constant", (1.0, 0.0), [1.0])
+
+    def test_interval_too_short_for_its_control_points(self):
+        # three control times on an interval one float wide cannot increase
+        with pytest.raises(ValidationError, match="too short for 2 steps"):
+            interpolator_create("piecewise-linear", (1.0, math.nextafter(1.0, 2.0)),
+                                (0.0, 1.0, 2.0))
 
     @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 0.0),
                                           (-1e308, 1e308)])
@@ -133,52 +129,59 @@ class TestInterpolators:
         assert min(values) <= signal.at(t) <= max(values)
 
 
+def returning(timestamps, trajectories):
+    """Blackbox function that ignores its input and returns the given output."""
+    return lambda static, times, signals: (timestamps, trajectories)
+
+
 class TestBlackboxSimulate:
     def test_echo_round_trip(self):
-        request = SimulationInput((), (0.0, 1.0, 2.0), ((5.0, 6.0, 7.0),))
-        trace = blackbox_simulate(echo, request)
+        ramp = interpolator_create("piecewise-linear", (0.0, 2.0), [5.0, 7.0])
+        trace = Blackbox(echo, steps=2).simulate((), (ramp,), (0.0, 2.0))
         assert trace.times == (0.0, 1.0, 2.0)
         assert trace.states == ((5.0,), (6.0,), (7.0,))
+
+    @pytest.mark.parametrize("interpolate", [True, False])
+    def test_coerces_to_floats(self, interpolate):
+        captured = []
+
+        def probe(static, times, signals):
+            captured.extend((static, times, *signals))
+            return times, [(0.0,)] * len(times)
+
+        signal = interpolator_create("piecewise-constant", (0, 1), [2, 3])
+        Blackbox(probe, steps=1, interpolate=interpolate).simulate((1,), (signal,), (0, 1))
+        assert captured == [(1.0,), (0.0, 1.0), (2.0, 3.0)]
+        assert {type(part) for part in captured} == {tuple}
+        assert {type(value) for part in captured for value in part} == {float}
 
     def test_user_exception_becomes_simulation_error(self):
         def broken(static, times, signals):
             raise RuntimeError("engine fell over")
 
-        request = SimulationInput((), (0.0, 1.0), ())
         with pytest.raises(SimulationError, match="engine fell over"):
-            blackbox_simulate(broken, request)
+            Blackbox(broken, steps=1).simulate((), (), (0.0, 1.0))
 
     def test_non_monotone_timestamps_rejected(self):
-        def bad(static, times, signals):
-            return (1.0, 0.5), ((0.0,), (0.0,))
-
-        request = SimulationInput((), (0.0, 1.0), ())
+        bad = returning((1.0, 0.5), ((0.0,), (0.0,)))
         with pytest.raises(TraceValidationError, match="monotone"):
-            blackbox_simulate(bad, request)
+            Blackbox(bad, steps=1).simulate((), (), (0.0, 1.0))
 
     def test_ragged_trajectory_rejected(self):
-        def bad(static, times, signals):
-            return (0.0, 1.0), ((0.0,), (0.0, 1.0))
-
-        request = SimulationInput((), (0.0, 1.0), ())
+        bad = returning((0.0, 1.0), ((0.0,), (0.0, 1.0)))
         with pytest.raises(TraceValidationError):
-            blackbox_simulate(bad, request)
+            Blackbox(bad, steps=1).simulate((), (), (0.0, 1.0))
 
     def test_timestamps_outside_interval_rejected(self):
-        def bad(static, times, signals):
-            return (0.0, 99.0), ((0.0,), (0.0,))
-
-        request = SimulationInput((), (0.0, 1.0), ())
-        with pytest.raises(TraceValidationError):
-            blackbox_simulate(bad, request)
+        for timestamps in ((0.0, 99.0), (-1.0, 0.5)):
+            bad = returning(timestamps, ((0.0,), (0.0,)))
+            with pytest.raises(TraceValidationError, match="leave the simulation interval"):
+                Blackbox(bad, steps=1).simulate((), (), (0.0, 1.0))
 
     def test_row_count_mismatch_rejected(self):
-        def bad(static, times, signals):
-            return (0.0, 1.0), ((0.0,),)
-
-        request = SimulationInput((), (0.0, 1.0), ())
+        bad = returning((0.0, 1.0), ((0.0,),))
         with pytest.raises(TraceValidationError):
-            blackbox_simulate(bad, request)
+            Blackbox(bad, steps=1).simulate((), (), (0.0, 1.0))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -188,11 +191,8 @@ class TestBlackboxSimulate:
         st.floats(-5, 5, allow_nan=False),
     )
     def test_valid_outputs_pass_through_unmodified(self, times, level):
-        def steady(static, grid, signals):
-            return tuple(times), tuple((level,) for _ in times)
-
-        request = SimulationInput((), (0.0, 1.0), ())
-        trace = blackbox_simulate(steady, request)
+        steady = returning(tuple(times), tuple((level,) for _ in times))
+        trace = Blackbox(steady, steps=1).simulate((), (), (0.0, 1.0))
         assert trace.times == tuple(times)
         assert all(row == (level,) for row in trace.states)
 
@@ -228,6 +228,20 @@ class TestBlackboxSystem:
         Blackbox(probe, interpolate=False).simulate((), (a, b), (0.0, 3.0))
         assert captured["times"] == (0.0, 1.5, 3.0)
         assert captured["signals"] == ((1.0, 2.0, 3.0), (9.0, 8.0, 7.0))
+
+    def test_raw_single_control_point(self):
+        # no steps between control points: the start alone, not 0 / 0
+        captured = {}
+
+        def probe(static, times, signals):
+            captured["times"] = times
+            captured["signals"] = signals
+            return times, [(0.0,)] * len(times)
+
+        signal = interpolator_create("piecewise-constant", (0.5, 1.0), [2.0])
+        trace = Blackbox(probe, interpolate=False).simulate((), (signal,), (0.5, 1.0))
+        assert captured == {"times": (0.5,), "signals": ((2.0,),)}
+        assert trace.times == (0.5,)
 
     def test_raw_mode_requires_equal_control_counts(self):
         a = interpolator_create("piecewise-constant", (0.0, 3.0), [1.0, 2.0])
@@ -306,6 +320,26 @@ class TestOdeSimulate:
     def test_step_must_be_positive(self):
         with pytest.raises(ValidationError):
             ode_simulate(lambda t, x, u: (0.0,), (1.0,), (0.0, 1.0), (), 0.0)
+
+    def test_step_count_beyond_float_range_rejected(self):
+        # not the OverflowError of round(inf)
+        with pytest.raises(ValidationError, match="too small"):
+            ode_simulate(lambda t, x, u: (0.0,), (0.0,), (0.0, 1e300), (), 1e-10)
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_signal_values_arrive_as_one_tuple(self, count):
+        # immutable, so the two midpoint stages that share one cannot see
+        # each other's changes
+        inputs = []
+
+        def derivative(t, x, u):
+            inputs.append(u)
+            return (0.0,)
+
+        signals = [interpolator_create("piecewise-constant", (0.0, 1.0), [1.0, 2.0])] * count
+        ode_simulate(derivative, (0.0,), (0.0, 1.0), signals, 0.5)
+        assert {type(u) for u in inputs} == {tuple}
+        assert {len(u) for u in inputs} == {count}
 
     def test_order_four_convergence(self):
         def harmonic(t, state, u):
@@ -696,7 +730,18 @@ class TestOdeSimulateMatchesSeedLoop:
 
 class TestCachedGrids:
     """The time grid and the RK4 stage times are cached per interval and
-    step count; every call must still see what the uncached formulas give."""
+    step count; every call must still see what the uncached formulas give,
+    and a grid that does not strictly increase is rejected on every call."""
+
+    @pytest.mark.parametrize("system", [Blackbox(echo), OdeSystem(lambda t, x, u: (0.0,))],
+                             ids=["blackbox", "ode"])
+    def test_interval_too_short_for_its_steps(self, system):
+        # a configuration error, not a simulation failure for the error
+        # policy to record
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="too short for 1000 steps") as raised:
+                system.simulate((0.0,), (), (1.0, math.nextafter(1.0, 2.0)))
+            assert not isinstance(raised.value, SimulationError)
 
     @staticmethod
     def recorded(simulate, interval, step):
