@@ -51,6 +51,7 @@ from .sut import (
     Interpolator,
     OdeSystem,
     System,
+    extern_blackbox,
     interpolator_create,
     ode_simulate,
 )
@@ -78,7 +79,6 @@ from .runner import (
     search_space,
 )
 from .bench import BENCHMARKS, BenchmarkSystem, get_benchmark, nonlinear2d, oscillator
-from .cli import extern_blackbox
 
 __version__ = "0.1.0"
 

@@ -11,9 +11,6 @@ Exit codes, in precedence order when several apply:
 
 Result files hold one row (CSV) or record (JSON) per objective evaluation;
 both formats carry full round-trip decimal precision, so they agree exactly.
-
-An external simulator can serve as the system under test through a
-line-oriented subprocess protocol, see :func:`extern_blackbox`.
 """
 
 from __future__ import annotations
@@ -21,17 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
-import signal
-import subprocess
 import sys
-import threading
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .bench import get_benchmark
-from .errors import SimulationError, StlSyntaxError, ValidationError
+from .errors import StlSyntaxError, ValidationError
 from .optim import ENGINES, Behavior
 from .runner import (
     ErrorPolicy,
@@ -42,112 +35,9 @@ from .runner import (
     falsify,
 )
 from .stl import PredicateMap
-from .sut import DEFAULT_STEPS, Blackbox
+from .sut import extern_blackbox
 
-__all__ = ["main", "extern_blackbox", "load_config", "results_to_records"]
-
-
-def _discard(proc: subprocess.Popen | None) -> None:
-    """Reap a child, if any, first killing its process group if it runs."""
-    if proc is not None:
-        with proc:
-            if proc.returncode is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-
-
-class _ExternBlackbox(Blackbox):
-    """The extern bridge as a :class:`Blackbox`, plus :meth:`session`."""
-
-    def __init__(self, func, spares: threading.local, *args):
-        super().__init__(func, *args)
-        self._spares = spares
-
-    @contextmanager
-    def session(self):
-        """Let each call on this thread launch the next call's child."""
-        self._spares.__dict__.setdefault("proc", None)  # nested: share the spare
-        try:
-            yield
-        finally:
-            _discard(self._spares.__dict__.pop("proc", None))
-
-
-def extern_blackbox(
-    command: str | Sequence[str],
-    steps: int = DEFAULT_STEPS,
-    timeout: float = 60.0,
-    interpolate: bool = True,
-    reentrant: bool = False,
-) -> Blackbox:
-    """Wrap an external executable as a blackbox system under test.
-
-    Per simulation the child receives on standard input: line 1 the static
-    parameters, line 2 the time values, then one line per input signal with
-    that signal's values; every line space-separated, numbers in full
-    round-trip decimal precision.  The child must write the returned
-    timestamps as its first line, then one state row per timestamp.  A
-    nonzero exit status, malformed output, or exceeding ``timeout`` seconds
-    is reported as a simulation error carrying the child's standard error.
-    Inside ``session()``, each call also launches the next call's child.
-    A ``str`` command is one program name with no arguments; it is not split.
-    """
-    if isinstance(command, str):
-        command = [command]
-    command = [str(part) for part in command]
-    if not command:
-        raise ValidationError("extern system needs a non-empty command")
-    # communicate() waits in poll(), whose limit is 2**31 - 1 milliseconds
-    if not 0 < timeout <= 2147483.647:
-        raise ValidationError(f"timeout must be in (0, 2147483.647] s, got {timeout}")
-    spares = threading.local()
-
-    def launch() -> subprocess.Popen:
-        return subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True, start_new_session=True)
-
-    def bridge(static, times, signal_rows):
-        lines = [
-            " ".join(repr(v) for v in static),
-            " ".join(repr(t) for t in times),
-        ]
-        lines.extend(" ".join(repr(v) for v in row) for row in signal_rows)
-        payload = "\n".join(lines) + "\n"
-        try:
-            proc = getattr(spares, "proc", None) or launch()
-        except OSError as exc:
-            raise SimulationError(
-                f"could not launch extern system {command[0]!r}: {exc}"
-            ) from exc
-        if hasattr(spares, "proc"):  # inside a session
-            spares.proc = None
-            with suppress(OSError):  # the next call launches and reports
-                spares.proc = launch()
-        try:
-            stdout, stderr = proc.communicate(payload, timeout=timeout)
-        except subprocess.TimeoutExpired:
-            raise SimulationError(
-                f"extern system {command[0]!r} timed out after {timeout} s"
-            ) from None
-        finally:
-            _discard(proc)
-        if proc.returncode != 0:
-            raise SimulationError(
-                f"extern system {command[0]!r} exited with code "
-                f"{proc.returncode}: {stderr.strip()}"
-            )
-        rows = [line for line in stdout.splitlines() if line.strip()]
-        if not rows:
-            raise SimulationError(f"extern system {command[0]!r} produced no output")
-        try:
-            timestamps = [float(v) for v in rows[0].split()]
-            states = [[float(v) for v in line.split()] for line in rows[1:]]
-        except ValueError as exc:
-            raise SimulationError(
-                f"extern system {command[0]!r} produced non-numeric output: {exc}"
-            ) from exc
-        return timestamps, states
-
-    return _ExternBlackbox(bridge, spares, steps, interpolate, reentrant)
+__all__ = ["main", "load_config", "results_to_records"]
 
 
 _ROOT_KEYS = {"system", "spec", "variables", "predicates", "optimizer", "options", "output"}
@@ -207,6 +97,12 @@ def _array(value, where: str) -> list:
 def _boolean(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationError(f"{where} must be a boolean, got {value!r}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where} must be a string, got {value!r}")
     return value
 
 
@@ -273,7 +169,7 @@ def _build_predicates(variables: Sequence[str], entries: Sequence) -> PredicateM
         _check_keys(entry, _PREDICATE_KEYS, where)
         coefficients = _array(_require(entry, "coefficients", where), f"{where}.coefficients")
         predicates.add(
-            _require(entry, "name", where),
+            _string(_require(entry, "name", where), f"{where}.name"),
             [_number(c, f"{where}.coefficients[{j}]") for j, c in enumerate(coefficients)],
             _number(_require(entry, "bound", where), f"{where}.bound"),
         )
@@ -300,7 +196,7 @@ def _build_campaign(config: dict, args: argparse.Namespace) -> _Campaign:
     elif isinstance(system_cfg, Mapping):
         if "benchmark" in system_cfg:
             _check_keys(system_cfg, {"benchmark"}, "system")
-            benchmark = get_benchmark(system_cfg["benchmark"])
+            benchmark = get_benchmark(_string(system_cfg["benchmark"], "system.benchmark"))
             system = benchmark.system
         elif "extern" in system_cfg:
             _check_keys(system_cfg, _EXTERN_KEYS, "system")
@@ -312,7 +208,12 @@ def _build_campaign(config: dict, args: argparse.Namespace) -> _Campaign:
             for key in ("interpolate", "reentrant"):
                 if key in system_cfg:
                     fields[key] = _boolean(system_cfg[key], f"system.{key}")
-            system = extern_blackbox(system_cfg["extern"], **fields)
+            command = system_cfg["extern"]
+            if not isinstance(command, (str, list)) or not all(
+                    isinstance(part, str) for part in command):  # iterating a str yields strs
+                raise ValidationError("system.extern must be a string or an array of "
+                                      f"strings, got {command!r}")
+            system = extern_blackbox(command, **fields)
         else:
             raise ValidationError("system must name a 'benchmark' or an 'extern' command")
     else:
@@ -344,7 +245,7 @@ def _build_campaign(config: dict, args: argparse.Namespace) -> _Campaign:
     else:
         raise ValidationError("config is missing required key 'variables'")
     if "spec" in config:
-        formula = config["spec"]
+        formula = _string(config["spec"], "spec")
     elif benchmark is not None:
         formula = benchmark.formula
     else:
@@ -357,7 +258,7 @@ def _build_campaign(config: dict, args: argparse.Namespace) -> _Campaign:
         optimizer = optimizer_cfg
     elif isinstance(optimizer_cfg, Mapping):
         _check_keys(optimizer_cfg, _OPTIMIZER_KEYS, "optimizer")
-        optimizer = _require(optimizer_cfg, "name", "optimizer")
+        optimizer = _string(_require(optimizer_cfg, "name", "optimizer"), "optimizer.name")
         raw = optimizer_cfg.get("options")
         if raw is not None and not isinstance(raw, Mapping):
             raise ValidationError("optimizer options must be an object")
@@ -367,10 +268,6 @@ def _build_campaign(config: dict, args: argparse.Namespace) -> _Campaign:
     if args.optimizer is not None and args.optimizer != optimizer:
         optimizer = args.optimizer
         engine_options = None  # file options belong to the replaced engine
-    if optimizer not in ENGINES:
-        raise ValidationError(
-            f"unknown optimizer {optimizer!r}; choose one of {sorted(ENGINES)}"
-        )
 
     output_cfg = config.get("output", {})
     if not isinstance(output_cfg, Mapping):

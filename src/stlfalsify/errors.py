@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and one integer check."""
 
 from __future__ import annotations
 
@@ -38,3 +38,13 @@ class SimulationError(StlFalsifyError):
 
 class TraceValidationError(SimulationError, ValidationError):
     """A system under test returned output violating the trace invariants."""
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` if it is an ``int``, not a ``bool``, and at least ``minimum``;
+    otherwise a :class:`ValidationError` naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return value

@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import SimulationError, ValidationError
+from .errors import SimulationError, ValidationError, _integer
 
 __all__ = [
     "SearchSpace",
@@ -301,8 +301,7 @@ def basinhop_step(
     each interval width (clamped to bounds), descend with Nelder-Mead for at
     most ``local_budget`` objective calls, and keep the result only if it is
     strictly better than the incumbent."""
-    if local_budget < 1:
-        raise ValidationError(f"local_budget must be >= 1, got {local_budget}")
+    _integer(local_budget, "local_budget", 1)
     hop = space.clamp(
         tuple(
             x + float(rng.uniform(-hop_radius * (hi - lo), hop_radius * (hi - lo)))
@@ -372,12 +371,8 @@ class Basinhopping:
     def __init__(self, hop_radius: float = 0.1, local_budget: int = 50):
         if not 0.0 < hop_radius <= 1.0:
             raise ValidationError(f"hop_radius must be in (0, 1], got {hop_radius}")
-        if not isinstance(local_budget, int) or isinstance(local_budget, bool):
-            raise ValidationError(f"local_budget must be an integer, got {local_budget!r}")
-        if local_budget < 1:
-            raise ValidationError(f"local_budget must be >= 1, got {local_budget}")
         self.hop_radius = float(hop_radius)
-        self.local_budget = local_budget
+        self.local_budget = _integer(local_budget, "local_budget", 1)
 
     def run(self, objective: Objective, space: SearchSpace, budget: int,
             rng: np.random.Generator) -> None:
@@ -399,14 +394,13 @@ ENGINES: dict[str, type] = {
 
 def create_engine(name: str, options: Mapping[str, object] | None = None):
     """Instantiate a registered engine by name, applying its options record."""
-    try:
-        factory = ENGINES[name]
-    except KeyError:
+    # a name read from JSON may be a list, which a dict lookup rejects
+    if not isinstance(name, str) or name not in ENGINES:
         raise ValidationError(
             f"unknown optimizer {name!r}; choose one of {sorted(ENGINES)}"
-        ) from None
+        )
     try:
-        return factory(**dict(options or {}))
+        return ENGINES[name](**dict(options or {}))
     except TypeError as exc:
         raise ValidationError(f"invalid options for optimizer {name!r}: {exc}") from exc
 
@@ -432,8 +426,9 @@ def optimize(
     the objective ends the search and is raised again, carrying the calls
     completed before it as its ``history`` attribute.
     """
-    if budget < 1:
-        raise ValidationError(f"budget must be >= 1, got {budget}")
+    _integer(budget, "budget", 1)
+    # not bounded above: a campaign seeds run k with options.seed + k
+    _integer(seed, "seed", 0)
     if not isinstance(behavior, Behavior):
         raise ValidationError(f"behavior must be a Behavior, got {behavior!r}")
     if isinstance(engine, str):

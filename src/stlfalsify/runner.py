@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol, Sequence
 
-from .errors import SimulationError, TraceValidationError, ValidationError
+from .errors import SimulationError, TraceValidationError, ValidationError, _integer
 from .monitor import Trace, evaluate
 from .optim import (
     Behavior,
@@ -71,9 +71,7 @@ class SignalOptions:
     def __post_init__(self):
         lo, hi = float(self.bound[0]), float(self.bound[1])
         object.__setattr__(self, "bound", (lo, hi))
-        points = self.control_points
-        if not isinstance(points, int) or isinstance(points, bool):
-            raise ValidationError(f"control_points must be an integer, got {points!r}")
+        _integer(self.control_points, "control_points")
         if not lo < hi:
             raise ValidationError(
                 f"signal bound lower {lo} must be below upper {hi}"
@@ -129,14 +127,9 @@ class Options:
                 raise ValidationError(
                     f"signals must be SignalOptions, got {type(entry).__name__}"
                 )
-        for name in ("iterations", "runs", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.iterations < 1:
-            raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
-        if self.runs < 1:
-            raise ValidationError(f"runs must be >= 1, got {self.runs}")
+        _integer(self.iterations, "iterations", 1)
+        _integer(self.runs, "runs", 1)
+        _integer(self.seed, "seed")
         if not isinstance(self.behavior, Behavior):
             raise ValidationError(f"behavior must be a Behavior, got {self.behavior!r}")
         if not 0 <= self.seed < 2**64:

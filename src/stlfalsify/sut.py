@@ -1,45 +1,53 @@
-"""System-under-test layer: blackbox adapter, ODE integrator, interpolators.
+"""System-under-test layer: blackbox adapters, ODE integrator, interpolators.
 
-Two ways to run a system are provided.  :class:`Blackbox` wraps an arbitrary
-user function ``(X, T, U) -> (timestamps, trajectories)``: ``X`` is the
-vector of static parameters and/or initial conditions, ``T`` a sequence of
-time values, and ``U`` an array of input-signal values with one row per
+Three ways to run a system are provided.  :class:`Blackbox` wraps an
+arbitrary user function ``(X, T, U) -> (timestamps, trajectories)``: ``X`` is
+the vector of static parameters and/or initial conditions, ``T`` a sequence
+of time values, and ``U`` an array of input-signal values with one row per
 signal and one column per entry of ``T``.  The function must return the time
 values and the corresponding state trajectory (one row per returned
-timestamp).  :class:`OdeSystem` instead treats the system as an ordinary
-differential equation ``dx/dt = f(t, x, u)`` and solves the initial-value
-problem with a fixed-step classical fourth-order Runge-Kutta scheme.
+timestamp).  :func:`extern_blackbox` is a :class:`Blackbox` whose function
+runs an external executable per call over a line-oriented pipe.
+:class:`OdeSystem` instead treats the system as an ordinary differential
+equation ``dx/dt = f(t, x, u)`` and solves the initial-value problem with a
+fixed-step classical fourth-order Runge-Kutta scheme.
 
 Interpolators expand the optimizer-chosen control points of a time-varying
 input into a full signal over the simulation interval; control times are
 evenly spaced across the interval.
 
-The blackbox user function is the extension point for external simulation
-engines (external process, RPC, hardware rig): write a bridge function that
-forwards ``(X, T, U)``, parses the engine's reply into ``(timestamps,
-trajectories)``, and keep any expensive engine handle alive across calls,
-since the function is invoked once per search iteration.  Exceptions raised
-by the function are captured as :class:`~stlfalsify.errors.SimulationError`
-so one bad simulation cannot crash a whole test campaign; the run's error
-policy decides what happens next.
+The blackbox user function is the extension point for other simulation
+engines (RPC, hardware rig): like :func:`extern_blackbox`'s bridge, it
+forwards ``(X, T, U)`` and returns the engine's reply as ``(timestamps,
+trajectories)``; keep any expensive engine handle alive across calls, since
+the function is invoked once per search iteration.  Exceptions raised by the
+function are captured as :class:`~stlfalsify.errors.SimulationError` so one
+bad simulation cannot crash a whole test campaign; the run's error policy
+decides what happens next.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import signal
 import string
+import subprocess
+import threading
+from contextlib import contextmanager, suppress
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import SimulationError, TraceValidationError, ValidationError
+from .errors import SimulationError, TraceValidationError, ValidationError, _integer
 from .monitor import Trace
 
 __all__ = [
     "Interpolator",
     "interpolator_create",
     "Blackbox",
+    "extern_blackbox",
     "OdeSystem",
     "ode_simulate",
     "System",
@@ -185,12 +193,8 @@ class Blackbox:
 
     def __init__(self, func: BlackboxFunc, steps: int = DEFAULT_STEPS,
                  interpolate: bool = True, reentrant: bool = False):
-        if not isinstance(steps, int) or isinstance(steps, bool):
-            raise ValidationError(f"steps must be an integer, got {steps!r}")
-        if steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {steps}")
         self.func = func
-        self.steps = steps
+        self.steps = _integer(steps, "steps", 1)
         self.interpolate = interpolate
         self.reentrant = reentrant
 
@@ -227,6 +231,100 @@ class Blackbox:
                 f"the simulation interval [{times[0]}, {times[-1]}]"
             )
         return trace
+
+
+def _discard(proc: subprocess.Popen | None) -> None:
+    """Reap a child, if any, first killing its process group if it runs."""
+    if proc is not None:
+        with proc:
+            if proc.returncode is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+
+
+class _ExternBlackbox(Blackbox):
+    """The extern bridge as a :class:`Blackbox`, plus :meth:`session`."""
+
+    def __init__(self, func, spares: threading.local, *args):
+        super().__init__(func, *args)
+        self._spares = spares
+
+    @contextmanager
+    def session(self):
+        """Let each call on this thread launch the next call's child."""
+        self._spares.__dict__.setdefault("proc", None)  # nested: share the spare
+        try:
+            yield
+        finally:
+            _discard(self._spares.__dict__.pop("proc", None))
+
+
+def extern_blackbox(
+    command: str | Sequence[str],
+    steps: int = DEFAULT_STEPS,
+    timeout: float = 60.0,
+    interpolate: bool = True,
+    reentrant: bool = False,
+) -> Blackbox:
+    """Wrap an external executable as a blackbox system under test.
+
+    Per simulation the child receives on standard input: line 1 the static
+    parameters, line 2 the time values, then one line per input signal with
+    that signal's values; every line space-separated, numbers in full
+    round-trip decimal precision.  The child must write the returned
+    timestamps as its first line, then one state row per timestamp.  A
+    nonzero exit status (the error carries the child's standard error), no
+    output, or exceeding ``timeout`` seconds is a :class:`SimulationError`.
+    The output's fields go to :class:`Trace` as text, so malformed output, a
+    non-numeric field included, is a :class:`TraceValidationError` as for
+    every :class:`Blackbox`.
+    Inside ``session()``, each call also launches the next call's child.
+    A ``str`` command is one program name with no arguments; it is not split.
+    """
+    command = [command] if isinstance(command, str) else [str(part) for part in command]
+    if not command:
+        raise ValidationError("extern system needs a non-empty command")
+    # communicate() waits in poll(), whose limit is 2**31 - 1 milliseconds
+    if not 0 < timeout <= 2147483.647:
+        raise ValidationError(f"timeout must be in (0, 2147483.647] s, got {timeout}")
+    spares = threading.local()
+
+    def launch() -> subprocess.Popen:
+        return subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+
+    def bridge(static, times, signal_rows):
+        payload = "".join(" ".join(map(repr, row)) + "\n"
+                          for row in (static, times, *signal_rows))
+        try:
+            proc = getattr(spares, "proc", None) or launch()
+        except OSError as exc:
+            raise SimulationError(
+                f"could not launch extern system {command[0]!r}: {exc}"
+            ) from exc
+        if hasattr(spares, "proc"):  # inside a session
+            spares.proc = None
+            with suppress(OSError):  # the next call launches and reports
+                spares.proc = launch()
+        try:
+            stdout, stderr = proc.communicate(payload, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            raise SimulationError(
+                f"extern system {command[0]!r} timed out after {timeout} s"
+            ) from None
+        finally:
+            _discard(proc)
+        if proc.returncode != 0:
+            raise SimulationError(
+                f"extern system {command[0]!r} exited with code "
+                f"{proc.returncode}: {stderr.strip()}"
+            )
+        # the fields go to Trace as text, which float() converts once
+        rows = [fields for fields in map(str.split, stdout.splitlines()) if fields]
+        if not rows:
+            raise SimulationError(f"extern system {command[0]!r} produced no output")
+        return rows[0], rows[1:]
+
+    return _ExternBlackbox(bridge, spares, steps, interpolate, reentrant)
 
 
 @functools.lru_cache(maxsize=32)

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 import pytest
 
 from stlfalsify.bench import oscillator
-from stlfalsify.cli import extern_blackbox, main
+from stlfalsify.cli import main
 from stlfalsify.errors import SimulationError
 from stlfalsify.monitor import Trace, evaluate, evaluate_boolean
 from stlfalsify.optim import Behavior, SearchSpace, optimize
@@ -40,7 +40,7 @@ from stlfalsify.stl import (
     format_formula,
     parse_formula,
 )
-from stlfalsify.sut import interpolator_create, ode_simulate
+from stlfalsify.sut import extern_blackbox, interpolator_create, ode_simulate
 
 CORPUS_SEED = 1906
 CORPUS_SIZE = 1000

@@ -3,14 +3,18 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import stlfalsify
 from stlfalsify.bench import oscillator
-from stlfalsify.cli import extern_blackbox, load_config, main, results_to_records
+from stlfalsify.cli import load_config, main, results_to_records
 from stlfalsify.errors import (
     SimulationError,
     TraceValidationError,
@@ -24,9 +28,10 @@ from stlfalsify.runner import (
     StlSpecification,
     decompose_sample,
     falsify,
+    make_objective,
 )
 from stlfalsify.stl import PredicateMap
-from stlfalsify.sut import interpolator_create
+from stlfalsify.sut import extern_blackbox, interpolator_create
 
 ECHO_CHILD = """\
 import sys
@@ -226,6 +231,27 @@ class TestExternFaultInjection:
         assert [entry.robustness for entry in run.history] == [math.inf, math.inf]
         assert not run.falsified
 
+    def test_non_numeric_field_is_a_trace_error(self, launched):
+        # Trace converts the child's fields; the bridge does not parse them
+        predicates = PredicateMap(("x",))
+        predicates.add("p", (1.0,), 5.0)
+        spec = StlSpecification("[] p", predicates)
+        source = echo_times_then("'0.5x' if k == 2 else '0.5'")
+        system = extern_blackbox([sys.executable, "-c", source], steps=4)
+        options = Options(static_params=((0.0, 1.0),), iterations=2,
+                          error_policy=ErrorPolicy.RECORD_AND_CONTINUE)
+        (run,) = falsify(spec, system, "uniform-random", options)
+        assert len(run.failures) == 2
+        assert all(message.startswith("malformed blackbox output")
+                   and "'0.5x'" in message for _, message in run.failures)
+        assert [entry.robustness for entry in run.history] == [math.inf, math.inf]
+        objective, failures = make_objective(
+            system, spec, replace(options, error_policy=ErrorPolicy.ABORT_RUN))
+        with system.session(), pytest.raises(TraceValidationError, match="'0.5x'"):
+            objective((0.5,))
+        assert len(failures) == 1
+        assert all(proc.returncode is not None for proc in launched)
+
 
 @pytest.fixture
 def launched(monkeypatch):
@@ -316,6 +342,16 @@ class TestExternChildLifecycle:
             static, signals = decompose_sample(entry.sample, options)
             again = spec.evaluate(system.simulate(static, signals, options.interval))
             assert again.hex() == entry.robustness.hex()
+
+
+def test_import_loads_no_front_end():
+    # a fresh interpreter: this one has loaded the CLI for the tests above
+    probe = ("import stlfalsify, sys; "
+             "print(sorted({'stlfalsify.cli', 'argparse', 'csv', 'json'} & set(sys.modules)))")
+    source_root = str(Path(stlfalsify.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": source_root}, check=True)
+    assert done.stdout == "[]\n"
 
 
 class TestLoadConfig:
@@ -626,6 +662,33 @@ class TestMainValidation:
     def test_wrong_json_type_reported(self, tmp_path, capsys, config, where):
         path = write_config(tmp_path, "c.json", config)
         self.expect_error(capsys, [path], where)
+
+    @pytest.mark.parametrize("config, error", [
+        ({"system": {"extern": 5}, "spec": "p1", "variables": ["x"], "predicates": []},
+         "system.extern must be a string or an array of strings, got 5"),
+        ({"system": {"extern": {"a": 1}}, "spec": "p1", "variables": ["x"],
+          "predicates": []},
+         "system.extern must be a string or an array of strings, got {'a': 1}"),
+        ({"system": {"benchmark": ["oscillator"]}},
+         "system.benchmark must be a string, got ['oscillator']"),
+        ({"system": "oscillator", "optimizer": {"name": ["uniform-random"]}},
+         "optimizer.name must be a string, got ['uniform-random']"),
+        ({"system": "oscillator", "spec": "[] p1", "variables": ["x1", "x2"],
+          "predicates": [{"name": ["p1"], "coefficients": [1.0, 0.0], "bound": 1.0}]},
+         "predicates[0].name must be a string, got ['p1']"),
+        ({"system": "oscillator", "spec": 5}, "spec must be a string, got 5"),
+    ], ids=["extern-number", "extern-object", "benchmark-array", "optimizer-name-array",
+            "predicate-name-array", "spec-number"])
+    def test_wrong_json_type_is_one_line_before_the_campaign(self, tmp_path, capsys,
+                                                             config, error):
+        # formerly a traceback, a campaign that ran the command ["a"], or a
+        # campaign that failed with "not a formula node: 5"
+        path = write_config(tmp_path, "c.json", {
+            **config, "options": {"static_params": [[0.0, 1.0]], "iterations": 2}})
+        assert main([path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("key", ["interpolate", "reentrant"])
     def test_extern_flags_must_be_booleans(self, tmp_path, capsys, key):

@@ -325,6 +325,20 @@ class TestOptimize:
         with pytest.raises(ValidationError):
             optimize("uniform-random", sphere, UNIT, budget=0)
 
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("field, value, error", [
+        ("budget", 2.5, "budget must be an integer, got 2.5"),
+        ("budget", True, "budget must be an integer, got True"),
+        ("seed", 2.7, "seed must be an integer, got 2.7"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ], ids=["fractional-budget", "bool-budget", "fractional-seed", "negative-seed"])
+    def test_budget_and_seed_checked_as_options_does(self, engine, field, value, error):
+        # formerly a TypeError from range, one evaluation for True, seed 2's
+        # stream for 2.7 and a NumPy ValueError for -1
+        arguments = {"budget": 5, "seed": 0, field: value}
+        with pytest.raises(ValidationError, match=error):
+            optimize(engine, sphere, UNIT, **arguments)
+
     def test_behavior_type_checked(self):
         with pytest.raises(ValidationError):
             optimize("uniform-random", sphere, UNIT, budget=5, behavior="minimize")
@@ -396,6 +410,11 @@ class TestCreateEngine:
     def test_unknown_name(self):
         with pytest.raises(ValidationError, match="unknown optimizer"):
             create_engine("gradient-descent")
+
+    def test_non_string_name(self):
+        # a list from JSON, which a dict lookup rejects with a TypeError
+        with pytest.raises(ValidationError, match=r"unknown optimizer \['uniform-random'\]"):
+            create_engine(["uniform-random"])
 
     def test_unknown_option_key(self):
         with pytest.raises(ValidationError, match="invalid options"):
