@@ -20,10 +20,10 @@ import csv
 import json
 import sys
 from contextlib import suppress
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import replace
+from typing import Callable, Mapping, Sequence
 
-from .bench import get_benchmark
+from .bench import BenchmarkSystem, get_benchmark
 from .errors import StlSyntaxError, ValidationError
 from .optim import ENGINES, Behavior
 from .runner import (
@@ -40,43 +40,37 @@ from .sut import extern_blackbox
 __all__ = ["main", "load_config", "results_to_records"]
 
 
-_ROOT_KEYS = {"system", "spec", "variables", "predicates", "optimizer", "options", "output"}
-_OPTION_KEYS = {
-    "static_params", "signals", "iterations", "runs", "seed", "behavior",
-    "interval", "error_policy", "parallel_runs",
-}
-_SIGNAL_KEYS = {"bound", "control_points", "interpolator"}
-_PREDICATE_KEYS = {"name", "coefficients", "bound"}
-_OUTPUT_KEYS = {"path", "format"}
-_EXTERN_KEYS = {"extern", "steps", "timeout", "interpolate", "reentrant"}
-_OPTIMIZER_KEYS = {"name", "options"}
-
-
-def _check_keys(mapping: Mapping, allowed: set, where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ValidationError(f"unknown {where} key(s): {', '.join(unknown)}")
-
-
-def _require(mapping: Mapping, key: str, where: str):
+def _require(mapping: Mapping, key: str, where: str = "config"):
     if key not in mapping:
         raise ValidationError(f"{where} is missing required key {key!r}")
     return mapping[key]
 
 
-def load_config(path: str) -> dict:
-    """Read and parse the JSON configuration, rejecting unknown root keys."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ValidationError("config root must be a JSON object")
-    _check_keys(config, _ROOT_KEYS, "config")
-    return config
+def _object(value, where: str) -> dict:
+    """A JSON object as a dict; ``where`` is its key path, "" for the root."""
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{where or 'config root'} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _fields(value, schema: Mapping[str, Callable], where: str, required=()) -> dict:
+    """The JSON object ``value`` with each present key converted by its entry
+    in ``schema``.  A converter takes the value and its key path and returns
+    the value for the library or raises a :class:`ValidationError` naming the
+    path; so do an unknown key and a missing ``required`` one."""
+    value = _object(value, where)
+    unknown = sorted(set(value) - set(schema))
+    if unknown:
+        raise ValidationError(f"unknown {where or 'config'} key(s): {', '.join(unknown)}")
+    for key in required:
+        _require(value, key, where or "config")
+    return {key: schema[key](entry, f"{where}.{key}" if where else key)
+            for key, entry in value.items()}
+
+
+def _as_is(value, where: str):
+    """Left to the library, which checks the value with its own message."""
+    return value
 
 
 def _number(value, where: str) -> float:
@@ -86,12 +80,6 @@ def _number(value, where: str) -> float:
         with suppress(OverflowError):  # an integer beyond the float range
             return float(value)
     raise ValidationError(f"{where} must be a number, got {value!r}")
-
-
-def _array(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"{where} must be an array, got {value!r}")
-    return value
 
 
 def _boolean(value, where: str) -> bool:
@@ -107,190 +95,147 @@ def _string(value, where: str) -> str:
 
 
 def _pair(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
+    if not isinstance(value, list) or len(value) != 2:
         raise ValidationError(f"{where} must be a [lower, upper] pair, got {value!r}")
     return _number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]")
 
 
-def _convert_options(cfg: Mapping, where: str = "options") -> dict:
-    """Translate JSON option fields into Options constructor arguments."""
-    _check_keys(cfg, _OPTION_KEYS, where)
-    out: dict = {}
-    if "static_params" in cfg:
-        out["static_params"] = tuple(
-            _pair(entry, f"{where}.static_params[{k}]")
-            for k, entry in enumerate(_array(cfg["static_params"], f"{where}.static_params"))
-        )
-    if "signals" in cfg:
-        converted = []
-        for k, entry in enumerate(_array(cfg["signals"], f"{where}.signals")):
-            if not isinstance(entry, Mapping):
-                raise ValidationError(f"{where}.signals[{k}] must be an object")
-            _check_keys(entry, _SIGNAL_KEYS, f"{where}.signals[{k}]")
-            fields = {"bound": _pair(_require(entry, "bound", f"{where}.signals[{k}]"),
-                                     f"{where}.signals[{k}].bound")}
-            for key in ("control_points", "interpolator"):
-                if key in entry:
-                    fields[key] = entry[key]
-            converted.append(SignalOptions(**fields))
-        out["signals"] = tuple(converted)
-    for key in ("iterations", "runs", "seed"):
-        if key in cfg:
-            out[key] = cfg[key]
-    if "behavior" in cfg:
-        try:
-            out["behavior"] = Behavior(cfg["behavior"])
-        except ValueError:
-            raise ValidationError(
-                f"unknown behavior {cfg['behavior']!r}; choose "
-                f"{[b.value for b in Behavior]}"
-            ) from None
-    if "interval" in cfg:
-        out["interval"] = _pair(cfg["interval"], f"{where}.interval")
-    if "error_policy" in cfg:
-        try:
-            out["error_policy"] = ErrorPolicy(cfg["error_policy"])
-        except ValueError:
-            raise ValidationError(
-                f"unknown error_policy {cfg['error_policy']!r}; choose "
-                f"{[p.value for p in ErrorPolicy]}"
-            ) from None
-    if "parallel_runs" in cfg:
-        out["parallel_runs"] = _boolean(cfg["parallel_runs"], f"{where}.parallel_runs")
-    return out
+def _command(value, where: str):
+    # iterating a str yields strs
+    if isinstance(value, (str, list)) and all(isinstance(part, str) for part in value):
+        return value
+    raise ValidationError(f"{where} must be a string or an array of strings, got {value!r}")
 
 
-def _build_predicates(variables: Sequence[str], entries: Sequence) -> PredicateMap:
-    predicates = PredicateMap(tuple(variables))
-    for k, entry in enumerate(_array(entries, "predicates")):
-        where = f"predicates[{k}]"
-        if not isinstance(entry, Mapping):
-            raise ValidationError(f"{where} must be an object")
-        _check_keys(entry, _PREDICATE_KEYS, where)
-        coefficients = _array(_require(entry, "coefficients", where), f"{where}.coefficients")
-        predicates.add(
-            _string(_require(entry, "name", where), f"{where}.name"),
-            [_number(c, f"{where}.coefficients[{j}]") for j, c in enumerate(coefficients)],
-            _number(_require(entry, "bound", where), f"{where}.bound"),
-        )
-    return predicates
+def _array(item: Callable) -> Callable:
+    """Converter of a JSON array whose entries each go through ``item``."""
+    def convert(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"{where} must be an array, got {value!r}")
+        return tuple(item(entry, f"{where}[{k}]") for k, entry in enumerate(value))
+    return convert
 
 
-@dataclass
-class _Campaign:
-    spec: StlSpecification
-    system: object
-    optimizer: str
-    engine_options: dict | None
-    options: Options
-    out_path: str | None
-    out_format: str | None
+def _choice(*choices) -> Callable:
+    """Converter of one name among ``choices``: strings, or Enum members
+    named by their value."""
+    names = {getattr(choice, "value", choice): choice for choice in choices}
+
+    def convert(value, where: str):
+        if isinstance(value, str) and value in names:
+            return names[value]
+        raise ValidationError(f"unknown {where} {value!r}; choose {list(names)}")
+    return convert
 
 
-def _build_campaign(config: dict, args: argparse.Namespace) -> _Campaign:
-    system_cfg = _require(config, "system", "config")
-    benchmark = None
-    if isinstance(system_cfg, str):
-        benchmark = get_benchmark(system_cfg)
-        system = benchmark.system
-    elif isinstance(system_cfg, Mapping):
-        if "benchmark" in system_cfg:
-            _check_keys(system_cfg, {"benchmark"}, "system")
-            benchmark = get_benchmark(_string(system_cfg["benchmark"], "system.benchmark"))
-            system = benchmark.system
-        elif "extern" in system_cfg:
-            _check_keys(system_cfg, _EXTERN_KEYS, "system")
-            fields = {}
-            if "steps" in system_cfg:
-                fields["steps"] = system_cfg["steps"]
-            if "timeout" in system_cfg:
-                fields["timeout"] = _number(system_cfg["timeout"], "system.timeout")
-            for key in ("interpolate", "reentrant"):
-                if key in system_cfg:
-                    fields[key] = _boolean(system_cfg[key], f"system.{key}")
-            command = system_cfg["extern"]
-            if not isinstance(command, (str, list)) or not all(
-                    isinstance(part, str) for part in command):  # iterating a str yields strs
-                raise ValidationError("system.extern must be a string or an array of "
-                                      f"strings, got {command!r}")
-            system = extern_blackbox(command, **fields)
-        else:
-            raise ValidationError("system must name a 'benchmark' or an 'extern' command")
-    else:
-        raise ValidationError("system must be a benchmark name or an object")
+def _section(schema: Mapping[str, Callable], required=(), build: Callable = dict) -> Callable:
+    """Converter of a nested object: ``build`` called with its fields."""
+    return lambda value, where: build(**_fields(value, schema, where, required))
+
+
+def _system(value, where: str):
+    """A benchmark, named alone or as ``{"benchmark": name}``, or an extern
+    command object as an :func:`extern_blackbox`."""
+    if isinstance(value, str):
+        value = {"benchmark": value}
+    elif not isinstance(value, Mapping):
+        raise ValidationError(f"{where} must be a benchmark name or an object, got {value!r}")
+    if "benchmark" in value:
+        return get_benchmark(_fields(value, {"benchmark": _string}, where)["benchmark"])
+    if "extern" in value:
+        fields = _fields(value, _EXTERN, where)
+        return extern_blackbox(fields.pop("extern"), **fields)
+    raise ValidationError(f"{where} must name a 'benchmark' or an 'extern' command")
+
+
+def _optimizer(value, where: str) -> tuple[str, dict | None]:
+    """An engine name, alone or as ``{"name": ..., "options": {...}}``, with
+    its options."""
+    if isinstance(value, str):
+        value = {"name": value}
+    elif not isinstance(value, Mapping):
+        raise ValidationError(f"{where} must be a name or an object, got {value!r}")
+    fields = _fields(value, {"name": _string, "options": _object}, where, ("name",))
+    return fields["name"], fields.get("options")
+
+
+_EXTERN = {"extern": _command, "steps": _as_is, "timeout": _number,
+           "interpolate": _boolean, "reentrant": _boolean}
+_OPTIONS = {
+    "static_params": _array(_pair),
+    "signals": _array(_section(
+        {"bound": _pair, "control_points": _as_is, "interpolator": _as_is},
+        ("bound",), SignalOptions)),
+    "iterations": _as_is,
+    "runs": _as_is,
+    "seed": _as_is,
+    "behavior": _choice(*Behavior),
+    "interval": _pair,
+    "error_policy": _choice(*ErrorPolicy),
+    "parallel_runs": _boolean,
+}
+_CONFIG = {
+    "system": _system,
+    "spec": _string,
+    "variables": _array(_string),
+    "predicates": _array(_section(
+        {"name": _string, "coefficients": _array(_number), "bound": _number},
+        ("name", "coefficients", "bound"))),
+    "optimizer": _optimizer,
+    "options": _section(_OPTIONS),
+    "output": _section({"path": _string, "format": _choice("csv", "json")}),
+}
+
+
+def load_config(path: str) -> dict:
+    """Read the JSON configuration and convert every section with its table;
+    an unknown key or a value of the wrong JSON type is a
+    :class:`ValidationError` naming its key path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config {path!r} is not valid JSON: {exc}") from exc
+    return _fields(config, _CONFIG, "", ("system",))
+
+
+def _build_campaign(config: dict, args: argparse.Namespace) -> tuple[dict, str | None, str | None]:
+    """The keyword arguments of :func:`falsify`, then the result file's path
+    and format (both ``None`` when no file is written)."""
+    benchmark = config["system"] if isinstance(config["system"], BenchmarkSystem) else None
 
     # options: benchmark defaults, overlaid by config, overlaid by flags
-    overrides = _convert_options(config.get("options", {}))
-    if benchmark is not None:
-        options = replace(benchmark.options, **overrides) if overrides \
-            else benchmark.options
-    else:
-        options = Options(**overrides)
-    flag_fields = {}
-    if args.seed is not None:
-        flag_fields["seed"] = args.seed
-    if args.iterations is not None:
-        flag_fields["iterations"] = args.iterations
-    if args.runs is not None:
-        flag_fields["runs"] = args.runs
-    if flag_fields:
-        options = replace(options, **flag_fields)
+    overrides = {**config.get("options", {}), **{
+        key: getattr(args, key) for key in ("seed", "iterations", "runs")
+        if getattr(args, key) is not None}}
+    options = replace(benchmark.options, **overrides) if benchmark else Options(**overrides)
 
     # requirement: benchmark default unless the config replaces it
-    if "variables" in config or "predicates" in config:
-        variables = _array(_require(config, "variables", "config"), "variables")
-        predicates = _build_predicates(variables, config.get("predicates", []))
-    elif benchmark is not None:
+    if benchmark is None or "variables" in config or "predicates" in config:
+        predicates = PredicateMap(_require(config, "variables"))
+        for entry in config.get("predicates", ()):
+            predicates.add(**entry)
+    else:
         predicates = benchmark.predicates
-    else:
-        raise ValidationError("config is missing required key 'variables'")
-    if "spec" in config:
-        formula = _string(config["spec"], "spec")
-    elif benchmark is not None:
-        formula = benchmark.formula
-    else:
-        raise ValidationError("config is missing required key 'spec'")
-    spec = StlSpecification(formula, predicates)
+    formula = config.get("spec", benchmark.formula) if benchmark else _require(config, "spec")
 
-    optimizer_cfg = config.get("optimizer", "uniform-random")
-    engine_options = None
-    if isinstance(optimizer_cfg, str):
-        optimizer = optimizer_cfg
-    elif isinstance(optimizer_cfg, Mapping):
-        _check_keys(optimizer_cfg, _OPTIMIZER_KEYS, "optimizer")
-        optimizer = _string(_require(optimizer_cfg, "name", "optimizer"), "optimizer.name")
-        raw = optimizer_cfg.get("options")
-        if raw is not None and not isinstance(raw, Mapping):
-            raise ValidationError("optimizer options must be an object")
-        engine_options = dict(raw) if raw else None
-    else:
-        raise ValidationError("optimizer must be a name or an object")
+    optimizer, engine_options = config.get("optimizer", ("uniform-random", None))
     if args.optimizer is not None and args.optimizer != optimizer:
         optimizer = args.optimizer
         engine_options = None  # file options belong to the replaced engine
 
-    output_cfg = config.get("output", {})
-    if not isinstance(output_cfg, Mapping):
-        raise ValidationError("output must be an object")
-    _check_keys(output_cfg, _OUTPUT_KEYS, "output")
-    if not isinstance(output_cfg.get("path", ""), str):
-        raise ValidationError(f"output.path must be a string, got {output_cfg['path']!r}")
-    out_path = args.out if args.out is not None else output_cfg.get("path")
-    out_format = args.format if args.format is not None else output_cfg.get("format")
+    output = config.get("output", {})
+    out_path = args.out if args.out is not None else output.get("path")
+    out_format = args.format if args.format is not None else output.get("format")
     if out_format is None and out_path is not None:
         out_format = "json" if out_path.endswith(".json") else "csv"
-    if out_format is not None and out_format not in ("csv", "json"):
-        raise ValidationError(f"unknown output format {out_format!r}; choose csv or json")
 
-    return _Campaign(
-        spec=spec,
-        system=system,
-        optimizer=optimizer,
-        engine_options=engine_options,
-        options=options,
-        out_path=out_path,
-        out_format=out_format,
-    )
+    campaign = dict(spec=StlSpecification(formula, predicates),
+                    sut=benchmark.system if benchmark else config["system"],
+                    optimizer=optimizer, options=options, engine_options=engine_options)
+    return campaign, out_path, out_format
 
 
 def results_to_records(results: Sequence[RunResult]) -> list[dict]:
@@ -386,15 +331,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         return 1
 
     try:
-        config = load_config(args.config)
-        campaign = _build_campaign(config, args)
-        results = falsify(
-            campaign.spec,
-            campaign.system,
-            campaign.optimizer,
-            campaign.options,
-            campaign.engine_options,
-        )
+        campaign, out_path, out_format = _build_campaign(load_config(args.config), args)
+        results = falsify(**campaign)
     except (ValidationError, StlSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -413,18 +351,18 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             f"{run.run_time:.2f} s, {len(run.failures)} failed simulation(s)"
         )
 
-    if campaign.out_path is not None:
+    if out_path is not None:
         try:
-            if campaign.out_format == "json":
-                write_json(campaign.out_path, results)
+            if out_format == "json":
+                write_json(out_path, results)
             else:
-                write_csv(campaign.out_path, results)
+                write_csv(out_path, results)
         except OSError as exc:
-            print(f"error: cannot write {campaign.out_path!r}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {out_path!r}: {exc}", file=sys.stderr)
             return 1
-        print(f"wrote {campaign.out_format} results to {campaign.out_path}")
+        print(f"wrote {out_format} results to {out_path}")
 
-    aborted = campaign.options.error_policy is ErrorPolicy.ABORT_RUN and any(
+    aborted = campaign["options"].error_policy is ErrorPolicy.ABORT_RUN and any(
         run.failures for run in results
     )
     if aborted:

@@ -192,6 +192,16 @@ class Until(Formula):
     bound: TimeBound | None = None
 
 
+def _state_variables(variables: Sequence[str]) -> tuple[str, ...]:
+    """``variables`` as a tuple, if it is a non-empty list of distinct names."""
+    variables = tuple(variables)
+    if not variables:
+        raise ValidationError("at least one state variable is required")
+    if len(set(variables)) != len(variables):
+        raise ValidationError(f"duplicate state variable names in {variables}")
+    return variables
+
+
 class PredicateMap:
     """Requirement data: named predicates plus the state-variable layout.
 
@@ -200,13 +210,8 @@ class PredicateMap:
     """
 
     def __init__(self, variables: Sequence[str]):
-        variables = tuple(variables)
-        if not variables:
-            raise ValidationError("at least one state variable is required")
-        if len(set(variables)) != len(variables):
-            raise ValidationError(f"duplicate state variable names in {variables}")
-        self.variables = variables
-        self.columns: Mapping[str, int] = {name: i for i, name in enumerate(variables)}
+        self.variables = _state_variables(variables)
+        self.columns: Mapping[str, int] = {name: i for i, name in enumerate(self.variables)}
         self._predicates: dict[str, LinearPredicate] = {}
 
     @property
@@ -253,14 +258,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-# token kind -> human-readable description used in error messages
-_SYMBOL_KINDS = {
-    "->": "'->'", "<=": "'<='", ">=": "'>='", "<>": "'<>'", "[]": "'[]'",
-    "\\/": "'\\/'", "/\\": "'/\\'", "||": "'||'", "&&": "'&&'", "!": "'!'",
-    "(": "'('", ")": "')'", "[": "'['", "]": "']'", ",": "','", "-": "'-'",
-}
-
 
 @dataclass(frozen=True)
 class _Token:
@@ -468,12 +465,7 @@ def parse_formula(text: str, variables: Sequence[str]) -> Formula:
     """
     if not text.strip():
         raise StlSyntaxError("empty requirement", 0)
-    variables = tuple(variables)
-    if not variables:
-        raise ValidationError("at least one state variable is required")
-    if len(set(variables)) != len(variables):
-        raise ValidationError(f"duplicate state variable names in {variables}")
-    return _Parser(_tokenize(text), variables).parse()
+    return _Parser(_tokenize(text), _state_variables(variables)).parse()
 
 
 def _format_bound(bound: TimeBound | None) -> str:

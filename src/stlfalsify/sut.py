@@ -259,7 +259,7 @@ class _ExternBlackbox(Blackbox):
 
 
 def extern_blackbox(
-    command: str | Sequence[str],
+    command: str | Sequence[str | os.PathLike],
     steps: int = DEFAULT_STEPS,
     timeout: float = 60.0,
     interpolate: bool = True,
@@ -279,8 +279,16 @@ def extern_blackbox(
     every :class:`Blackbox`.
     Inside ``session()``, each call also launches the next call's child.
     A ``str`` command is one program name with no arguments; it is not split.
+    Otherwise the command is a list or tuple of ``str`` or path-like parts.
     """
-    command = [command] if isinstance(command, str) else [str(part) for part in command]
+    if isinstance(command, str):
+        command = [command]
+    elif isinstance(command, (list, tuple)) and all(
+            isinstance(part, (str, os.PathLike)) for part in command):
+        command = [os.fspath(part) for part in command]
+    else:
+        raise ValidationError("extern command must be a string or a list of string or "
+                              f"path-like parts, got {command!r}")
     if not command:
         raise ValidationError("extern system needs a non-empty command")
     # communicate() waits in poll(), whose limit is 2**31 - 1 milliseconds

@@ -187,6 +187,18 @@ class TestExternBlackbox:
         with pytest.raises(SimulationError, match="extern system 'true' produced no output"):
             system.simulate((), (), (0.0, 1.0))
 
+    @pytest.mark.parametrize("command", [5, {"a": 1}, [5], ("true", None), b"true"],
+                             ids=["number", "mapping", "number-part", "none-part", "bytes"])
+    def test_command_of_the_wrong_type_rejected(self, command):
+        # formerly a TypeError, or a command such as ["a"] run by the campaign
+        with pytest.raises(ValidationError, match="extern command must be a string or a list"):
+            extern_blackbox(command)
+
+    def test_tuple_command_with_path_parts(self, tmp_path):
+        script = Path(write_child(tmp_path, "echo.py", ECHO_CHILD)[1])
+        system = extern_blackbox((Path(sys.executable), script), steps=2)
+        assert system.simulate((0.5,), (), (0.0, 1.0)).times == (0.0, 0.5, 1.0)
+
     def test_unlaunchable_command(self, tmp_path):
         system = extern_blackbox([str(tmp_path / "no-such-binary")], steps=2)
         with pytest.raises(SimulationError, match="could not launch"):
@@ -538,6 +550,16 @@ class TestMainFlags:
         assert code != 1  # the stale engine options must not be rejected
         assert len(records[0]["history"]) == 5
 
+    def test_readme_example_configuration(self, tmp_path):
+        # the documented schema and the CLI's key tables stay in step
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("Example configuration:\n\n```json\n", 1)[1].split("```", 1)[0]
+        config = tmp_path / "example.json"
+        config.write_text(example)
+        out = tmp_path / "results.csv"
+        assert main([str(config), "--out", str(out)]) == 10
+        assert out.exists()
+
     def test_out_flag_overrides_config_path(self, tmp_path):
         configured = tmp_path / "ignored.json"
         config = write_config(
@@ -686,6 +708,22 @@ class TestMainValidation:
         path = write_config(tmp_path, "c.json", {
             **config, "options": {"static_params": [[0.0, 1.0]], "iterations": 2}})
         assert main([path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("config, error", [
+        ({"system": "oscillator", "options": 5}, "options must be a JSON object, got 5"),
+        ({"system": "oscillator", "options": ["iterations"]},
+         "options must be a JSON object, got ['iterations']"),
+        ({"system": "oscillator", "spec": "[] x1 <= 1", "variables": [1, 2]},
+         "variables[0] must be a string, got 1"),
+    ], ids=["options-number", "options-array", "variables-numbers"])
+    def test_section_of_the_wrong_json_type_is_one_line(self, tmp_path, capsys,
+                                                        config, error):
+        # formerly a TypeError traceback, or a campaign over variables 1 and 2
+        path = write_config(tmp_path, "c.json", config)
+        assert main([path, "--iterations", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {error}\n"
         assert captured.out == ""
