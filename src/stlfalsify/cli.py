@@ -323,17 +323,11 @@ def _make_parser() -> _Parser:
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
-    except _ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        args = _make_parser().parse_args(argv)
         campaign, out_path, out_format = _build_campaign(load_config(args.config), args)
         results = falsify(**campaign)
-    except (ValidationError, StlSyntaxError) as exc:
+    except (_ArgumentError, ValidationError, StlSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

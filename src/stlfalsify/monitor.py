@@ -29,7 +29,6 @@ from .stl import (
     And,
     Eventually,
     Formula,
-    Implies,
     LinearPredicate,
     Next,
     Not,
@@ -271,12 +270,9 @@ def _robustness_signal(formula: Formula, predicates: PredicateMap | None,
         return signal
     if isinstance(formula, Not):
         return -_robustness_signal(formula.child, predicates, trace, times)
-    if isinstance(formula, (And, Or, Implies)):
+    if isinstance(formula, (And, Or)):
         left = _robustness_signal(formula.left, predicates, trace, times)
         right = _robustness_signal(formula.right, predicates, trace, times)
-        if isinstance(formula, Implies):
-            # Same value as the parse-time desugaring Or(Not(left), right).
-            left = -left
         return _pick(left, right, minimize=isinstance(formula, And))
     if isinstance(formula, Next):
         child = _robustness_signal(formula.child, predicates, trace, times)
@@ -357,9 +353,6 @@ def _holds(formula: Formula, predicates: PredicateMap | None,
                 and _holds(formula.right, predicates, trace, i))
     if isinstance(formula, Or):
         return (_holds(formula.left, predicates, trace, i)
-                or _holds(formula.right, predicates, trace, i))
-    if isinstance(formula, Implies):
-        return ((not _holds(formula.left, predicates, trace, i))
                 or _holds(formula.right, predicates, trace, i))
     if isinstance(formula, Next):
         if i + 1 >= len(trace):

@@ -71,8 +71,12 @@ class SearchSpace:
         if not bounds:
             raise ValidationError("search space needs at least one dimension")
         for k, (lo, hi) in enumerate(bounds):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValidationError(f"dimension {k}: bounds must be finite")
+            # the engines draw and step within the width, which is finite
+            # only if both bounds are
+            if not math.isfinite(hi - lo):
+                raise ValidationError(
+                    f"dimension {k}: bounds [{lo}, {hi}] and their width must be finite"
+                )
             if not lo < hi:
                 raise ValidationError(
                     f"dimension {k}: lower bound {lo} must be below upper bound {hi}"
@@ -160,6 +164,22 @@ def _reflect(value: float, lower: float, upper: float) -> float:
     return min(max(folded, lower), upper)
 
 
+def _propose(x: float, z: float, temperature: float, lower: float,
+             upper: float) -> float:
+    """``x`` moved by ``z`` standard deviations of ``temperature * (upper -
+    lower) / 2`` and reflected into [lower, upper], finite for finite ``z``."""
+    width = upper - lower
+    # the operations of x + rng.normal(0.0, scale) with the draw z
+    value = x + (0.0 + temperature * width / 2.0 * z)
+    if lower <= value <= upper or math.isfinite(value - lower) and math.isfinite(2.0 * width):
+        return _reflect(value, lower, upper)
+    # a term overflows: reflect in units of the width, where x - lower <=
+    # width; a shift too large for a float is even, as is any from 2**53
+    shift = (x - lower) / width + temperature / 2.0 * z
+    unit = _reflect(shift, 0.0, 1.0) if math.isfinite(shift) else 0.0
+    return min(lower + unit * width, upper)
+
+
 def annealing_step(
     rng: np.random.Generator,
     current: Evaluation,
@@ -170,15 +190,17 @@ def annealing_step(
 
     The proposal adds a per-dimension Gaussian perturbation of scale
     ``temperature * (upper - lower) / 2`` to the current sample and reflects
-    it into bounds.  The returned ``accept(robustness)`` predicate accepts
-    any downhill move and an uphill move of size ``delta`` with probability
-    ``exp(-delta / temperature)``.  The acceptance threshold is drawn here,
-    so the random stream does not depend on when the decision is made.
+    it into bounds, in units of the width where that arithmetic would
+    overflow, so every proposal is finite.  The returned
+    ``accept(robustness)`` predicate accepts any downhill move and an uphill
+    move of size ``delta`` with probability ``exp(-delta / temperature)``.
+    The acceptance threshold is drawn here, so the random stream does not
+    depend on when the decision is made.
     """
     if not temperature > 0:
         raise ValidationError(f"temperature must be positive, got {temperature}")
     proposal = tuple(
-        _reflect(x + float(rng.normal(0.0, temperature * (hi - lo) / 2.0)), lo, hi)
+        _propose(x, float(rng.standard_normal()), temperature, lo, hi)
         for x, (lo, hi) in zip(current.sample, space.bounds)
     )
     threshold = float(rng.uniform())
@@ -335,7 +357,8 @@ class UniformRandom:
 class SimulatedAnnealing:
     """Annealing with Gaussian proposals, bound reflection, Metropolis
     acceptance, and geometric cooling ``T_k = initial_temperature *
-    cooling**k``."""
+    cooling**k``.  Cooling stops at the last positive temperature: where
+    ``T_k`` would underflow to 0.0, the temperature stays at ``T_(k-1)``."""
 
     name = "simulated-annealing"
 
@@ -359,7 +382,7 @@ class SimulatedAnnealing:
             robustness = objective(proposal)
             if accept(robustness):
                 current = Evaluation(proposal, robustness)
-            temperature *= self.cooling
+            temperature = temperature * self.cooling or temperature
 
 
 class Basinhopping:

@@ -116,17 +116,12 @@ class Options:
             raise ValidationError(
                 "nothing to search: provide static_params or signals (or both)"
             )
-        for k, (lo, hi) in enumerate(statics):
-            if not lo < hi:
-                raise ValidationError(
-                    f"static parameter {k}: lower bound {lo} must be below "
-                    f"upper bound {hi}"
-                )
         for entry in self.signals:
             if not isinstance(entry, SignalOptions):
                 raise ValidationError(
                     f"signals must be SignalOptions, got {type(entry).__name__}"
                 )
+        search_space(self)  # its bounds: finite, ordered, of a finite width
         _integer(self.iterations, "iterations", 1)
         _integer(self.runs, "runs", 1)
         _integer(self.seed, "seed")

@@ -21,9 +21,9 @@ collide with a reserved word)::
                  | identifier
 
 Until is binary and must be parenthesized.  An absent bound on a temporal
-operator means ``[0, inf)``.  Implication desugars at parse time to
-``or(not lhs, rhs)``, so evaluators only ever see the
-``{not, and, or}`` connective core for parsed formulas.
+operator means ``[0, inf)``.  Implication, parsed or built by
+:class:`Implies`, is ``or(not lhs, rhs)``, so evaluators only ever see the
+``{not, and, or}`` connective core.
 
 A bare identifier is a named predicate resolved against a
 :class:`PredicateMap` at evaluation time.  An inline comparison such as
@@ -159,13 +159,13 @@ class Or(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    """Material implication.  Parsed ``->`` never produces this node (it is
-    desugared to ``Or(Not(lhs), rhs)``); it exists for programmatic use."""
+class Implies:
+    """Material implication, built as its desugaring: ``Implies(a, b)``
+    returns ``Or(Not(a), b)``, the node that parsing ``(a -> b)`` yields, so
+    no formula holds an ``Implies`` node."""
 
-    left: Formula
-    right: Formula
+    def __new__(cls, left: Formula, right: Formula) -> Formula:
+        return Or(Not(left), right)
 
 
 @dataclass(frozen=True)
@@ -342,8 +342,7 @@ class _Parser:
     def implication(self) -> Formula:
         left = self.disjunction()
         if self.accept("->"):
-            right = self.implication()  # right-associative
-            return Or(Not(left), right)
+            return Implies(left, self.implication())  # right-associative
         return left
 
     def disjunction(self) -> Formula:
@@ -475,12 +474,7 @@ def _format_bound(bound: TimeBound | None) -> str:
 
 
 def format_formula(formula: Formula) -> str:
-    """Emit canonical requirement text; ``parse_formula`` round-trips it.
-
-    The fixpoint is structural for every parser-producible tree; an
-    ``Implies`` node formats as ``->`` and therefore re-parses to its
-    desugared ``Or(Not(..), ..)`` form.
-    """
+    """Emit canonical requirement text; ``parse_formula`` round-trips it."""
     if isinstance(formula, Predicate):
         return formula.name
     if isinstance(formula, Not):
@@ -489,8 +483,6 @@ def format_formula(formula: Formula) -> str:
         return f"({format_formula(formula.left)} and {format_formula(formula.right)})"
     if isinstance(formula, Or):
         return f"({format_formula(formula.left)} or {format_formula(formula.right)})"
-    if isinstance(formula, Implies):
-        return f"({format_formula(formula.left)} -> {format_formula(formula.right)})"
     if isinstance(formula, Next):
         return f"next ({format_formula(formula.child)})"
     if isinstance(formula, Eventually):

@@ -14,7 +14,6 @@ from stlfalsify.stl import (
     Always,
     And,
     Eventually,
-    Implies,
     Next,
     Not,
     Or,
@@ -71,8 +70,6 @@ def naive_signal(formula, predicates, trace):
             return [r if r < l else l for l, r in zip(signal(node.left), signal(node.right))]
         if isinstance(node, Or):
             return [r if r > l else l for l, r in zip(signal(node.left), signal(node.right))]
-        if isinstance(node, Implies):
-            return [r if r > -l else -l for l, r in zip(signal(node.left), signal(node.right))]
         if isinstance(node, Next):
             return signal(node.child)[1:] + [-INF]
         if isinstance(node, (Eventually, Always)):

@@ -728,6 +728,23 @@ class TestMainValidation:
         assert captured.err == f"error: {error}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("config, dimension", [
+        ({"options": {"static_params": [[-1.7e308, 1.7e308]]}}, 0),
+        ({"options": {"signals": [{"bound": [-1e308, 1e308]}]},
+          "optimizer": "simulated-annealing"}, 1),
+    ], ids=["static", "signal"])
+    def test_overflowing_search_width_is_one_line(self, tmp_path, capsys, config,
+                                                  dimension):
+        # formerly NumPy's OverflowError traceback from the first draw
+        config["options"]["iterations"] = 3
+        path = write_config(tmp_path, "c.json", {"system": "oscillator", **config})
+        assert main([path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: dimension {dimension}: bounds [")
+        assert captured.err.endswith("and their width must be finite\n")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("key", ["interpolate", "reentrant"])
     def test_extern_flags_must_be_booleans(self, tmp_path, capsys, key):
         path = write_config(tmp_path, "c.json", {

@@ -27,8 +27,9 @@ from stlfalsify.optim import (
     optimize,
     uniform_random_step,
 )
-from stlfalsify.runner import falsify
-from stlfalsify.stl import LinearPredicate, Predicate
+from stlfalsify.runner import Options, SignalOptions, StlSpecification, falsify
+from stlfalsify.stl import LinearPredicate, Predicate, PredicateMap
+from stlfalsify.sut import Blackbox
 
 UNIT = SearchSpace(((0.0, 1.0),))
 SQUARE = SearchSpace(((-1.0, 1.0), (-1.0, 1.0)))
@@ -76,6 +77,11 @@ class TestSearchSpace:
     def test_infinite_bounds_rejected(self):
         with pytest.raises(ValidationError):
             SearchSpace(((0.0, math.inf),))
+
+    @pytest.mark.parametrize("bounds", [(-1.7e308, 1.7e308), (-1e308, 1e308)])
+    def test_overflowing_width_rejected(self, bounds):
+        with pytest.raises(ValidationError, match="width must be finite"):
+            SearchSpace((bounds,))
 
 
 class TestUniformRandomStep:
@@ -149,6 +155,25 @@ class TestAnnealingStep:
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValidationError):
             annealing_step(make_rng(0), Evaluation((0.5,), 1.0), 0.0, UNIT)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)).filter(
+            lambda b: b[0] < b[1] and math.isfinite(b[1] - b[0])),
+        st.floats(0.0, 1.0),
+        st.floats(5e-324, 1.7e308),
+        st.integers(0, 2**32),
+    )
+    def test_proposal_stays_in_any_box(self, bounds, fraction, temperature, seed):
+        # near the float limit, x + noise and the fold's 2 * width overflow
+        lo, hi = bounds
+        space = SearchSpace((bounds,))
+        current = Evaluation((min(lo + fraction * (hi - lo), hi),), 0.0)
+        rng = make_rng(seed)
+        for _ in range(5):
+            proposal, _ = annealing_step(rng, current, temperature, space)
+            assert contains(space, proposal)
+            current = Evaluation(proposal, 0.0)
 
 
 class TestBasinhopStep:
@@ -356,6 +381,57 @@ class TestOptimize:
             behavior=Behavior.MINIMIZATION, seed=0,
         )
         assert len(history) == 10
+
+
+def record_static(simulated):
+    """A one-variable Blackbox function that records each static vector."""
+    def func(static, times, rows):
+        simulated.append(static)
+        return times, [[0.0]] * len(times)
+    return func
+
+
+class TestFloatLimits:
+    """Boxes at the edge of the float range: a width that overflows is
+    rejected with the space, and a finite one keeps every sample finite."""
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize("where", ["static", "signal"])
+    def test_overflowing_width_rejected_before_any_simulation(self, engine, where):
+        # formerly NumPy's OverflowError from the first uniform draw
+        simulated = []
+        spec = StlSpecification("x <= 1.0", PredicateMap(("x",)))
+        bounds = dict(static=dict(static_params=((-1.7e308, 1.7e308),)),
+                      signal=dict(signals=(SignalOptions(bound=(-1e308, 1e308)),)))
+        with pytest.raises(ValidationError, match="width must be finite"):
+            falsify(spec, Blackbox(record_static(simulated), steps=1), engine,
+                    Options(iterations=3, **bounds[where]))
+        assert simulated == []
+
+    def test_annealing_samples_stay_finite(self):
+        # formerly 299 of the 300 samples were NaN
+        space = SearchSpace(((-8e307, 8e307),))
+        history, _ = optimize(SimulatedAnnealing(), lambda s: 1.0, space, 300,
+                              Behavior.MINIMIZATION, 1)
+        assert len(history) == 300
+        assert all(contains(space, entry.sample) for entry in history)
+
+    def test_annealing_hands_the_system_finite_parameters(self):
+        simulated = []
+        spec = StlSpecification("x <= 1.0", PredicateMap(("x",)))
+        options = Options(static_params=((-8e307, 8e307),), iterations=300,
+                          behavior=Behavior.MINIMIZATION, seed=1)
+        falsify(spec, Blackbox(record_static(simulated), steps=1),
+                "simulated-annealing", options)
+        assert len(simulated) == 300
+        assert all(-8e307 <= x <= 8e307 for (x,) in simulated)
+
+    def test_cooling_stops_at_the_last_positive_temperature(self):
+        # 0.5**1075 rounds to 0.0, which annealing_step rejects
+        history, _ = optimize(SimulatedAnnealing(cooling=0.5), sphere, UNIT, 1200,
+                              Behavior.MINIMIZATION, 0)
+        assert len(history) == 1200
+        assert all(contains(UNIT, entry.sample) for entry in history)
 
 
 class TestEngineCalibration:

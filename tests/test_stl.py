@@ -175,6 +175,10 @@ class TestParser:
         a, b = Predicate("a"), Predicate("b")
         assert parse_formula("a -> b", ("x",)) == Or(Not(a), b)
 
+    def test_implies_builds_the_desugaring(self):
+        assert Implies(P1, P2) == Or(Not(P1), P2)
+        assert not isinstance(Implies(P1, P2), Implies)
+
     def test_implication_right_associative(self):
         a, b, c = Predicate("a"), Predicate("b"), Predicate("c")
         assert parse_formula("a -> b -> c", ("x",)) == Or(Not(a), Or(Not(b), c))
@@ -299,8 +303,8 @@ class TestFormatter:
     def test_bounded_until(self):
         assert format_formula(Until(P1, P2, TimeBound(0, 1))) == "(p1 until[0.0, 1.0] p2)"
 
-    def test_implies_formats_as_arrow(self):
-        assert format_formula(Implies(P1, P2)) == "(p1 -> p2)"
+    def test_implies_formats_as_its_desugaring(self):
+        assert format_formula(Implies(P1, P2)) == "(not (p1) or p2)"
 
     def test_inf_bound_formats(self):
         text = format_formula(Eventually(P1, TimeBound(0.5, math.inf)))

@@ -1,9 +1,7 @@
 """Property tests for the requirement language.
 
 The central law is the round-trip fixpoint: formatting any parser-reachable
-formula and parsing it back reproduces the same tree structurally.  Implies
-is excluded from the generated trees because parsing desugars ``->``, so no
-parser output ever contains an Implies node.
+formula and parsing it back reproduces the same tree structurally.
 """
 
 import math
@@ -14,6 +12,7 @@ from stlfalsify.stl import (
     Always,
     And,
     Eventually,
+    Implies,
     Next,
     Not,
     Or,
@@ -63,6 +62,7 @@ def _extend(children):
         children.map(Next),
         st.tuples(children, children).map(lambda pair: And(*pair)),
         st.tuples(children, children).map(lambda pair: Or(*pair)),
+        st.tuples(children, children).map(lambda pair: Implies(*pair)),
         st.tuples(children, maybe_bound).map(lambda t: Eventually(t[0], t[1])),
         st.tuples(children, maybe_bound).map(lambda t: Always(t[0], t[1])),
         st.tuples(children, children, maybe_bound).map(
@@ -86,6 +86,13 @@ def test_round_trip_fixpoint(formula):
 def test_formatting_is_stable(formula):
     once = format_formula(formula)
     assert format_formula(parse_formula(once, VARIABLES)) == once
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas, formulas)
+def test_implies_builds_the_parsed_implication(left, right):
+    text = f"({format_formula(left)} -> {format_formula(right)})"
+    assert Implies(left, right) == parse_formula(text, VARIABLES)
 
 
 @settings(max_examples=200, deadline=None)
