@@ -159,8 +159,7 @@ def _optimizer(value, where: str) -> tuple[str, dict | None]:
     return fields["name"], fields.get("options")
 
 
-_EXTERN = {"extern": _command, "steps": _as_is, "timeout": _number,
-           "interpolate": _boolean, "reentrant": _boolean}
+_EXTERN = {"extern": _command, "steps": _as_is, "timeout": _number, "reentrant": _boolean}
 _OPTIONS = {
     "static_params": _array(_pair),
     "signals": _array(_section(

@@ -112,9 +112,10 @@ class _StopSearch(Exception):
 
 class _Recorder:
     """Wraps the objective for one run: enforces the evaluation budget,
-    converts each sample to a tuple of Python floats, captures every call
-    into the history, rejects a NaN value, and under FALSIFICATION stops
-    the search right after the first negative robustness."""
+    converts each sample to a tuple of Python floats, rejects a sample
+    outside the box before the objective sees it, captures every call into
+    the history, rejects a NaN value, and under FALSIFICATION stops the
+    search right after the first negative robustness."""
 
     def __init__(self, objective: Objective, space: SearchSpace, budget: int,
                  behavior: Behavior):
@@ -133,6 +134,10 @@ class _Recorder:
                 f"sample dimension {len(sample)} does not match search space "
                 f"dimension {self.space.dimension}"
             )
+        # the bounds are finite, so this rejects NaN and +-inf too
+        if not all(lo <= x <= hi for x, (lo, hi) in zip(sample, self.space.bounds)):
+            raise ValidationError(f"engine proposed sample {sample} outside the "
+                                  f"search space {self.space.bounds}")
         value = float(self.objective(sample))
         if math.isnan(value):
             # NaN compares false both ways, so it would never count as
@@ -197,8 +202,8 @@ def annealing_step(
     The acceptance threshold is drawn here, so the random stream does not
     depend on when the decision is made.
     """
-    if not temperature > 0:
-        raise ValidationError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < math.inf:
+        raise ValidationError(f"temperature must be positive and finite, got {temperature}")
     proposal = tuple(
         _propose(x, float(rng.standard_normal()), temperature, lo, hi)
         for x, (lo, hi) in zip(current.sample, space.bounds)
@@ -256,10 +261,14 @@ def _nelder_mead(
             best, worst = simplex[0], simplex[-1]
             second_worst = simplex[-2]
             # a left fold from 0.0, not sum(): from Python 3.12 a float sum
-            # is compensated, and reruns must match on every version
+            # is compensated, and reruns must match on every version.  A sum
+            # that overflows is taken instead as the lower bound plus the
+            # mean offset from it, finite in a box of finite width
             centroid = tuple(
-                reduce(add, column, 0.0) / n
-                for column in zip(*(point for point, _ in simplex[:-1]))
+                mean if math.isfinite(mean := reduce(add, column, 0.0) / n)
+                else lo + reduce(add, ((x - lo) / n for x in column), 0.0)
+                for column, (lo, _) in zip(zip(*(point for point, _ in simplex[:-1])),
+                                           space.bounds)
             )
 
             reflected = space.clamp(
@@ -324,11 +333,16 @@ def basinhop_step(
     most ``local_budget`` objective calls, and keep the result only if it is
     strictly better than the incumbent."""
     _integer(local_budget, "local_budget", 1)
+
+    def move(x: float, lo: float, hi: float) -> float:
+        reach = hop_radius * (hi - lo)
+        if math.isfinite(2.0 * reach):
+            return x + float(rng.uniform(-reach, reach))
+        # NumPy rejects a range whose width overflows: draw on [-1, 1), scale
+        return x + float(rng.uniform(-1.0, 1.0)) * reach
+
     hop = space.clamp(
-        tuple(
-            x + float(rng.uniform(-hop_radius * (hi - lo), hop_radius * (hi - lo)))
-            for x, (lo, hi) in zip(current.sample, space.bounds)
-        )
+        tuple(move(x, lo, hi) for x, (lo, hi) in zip(current.sample, space.bounds))
     )
     candidate = _nelder_mead(objective, hop, space, local_budget)
     return candidate if candidate.robustness < current.robustness else current
@@ -363,10 +377,10 @@ class SimulatedAnnealing:
     name = "simulated-annealing"
 
     def __init__(self, initial_temperature: float = 1.0, cooling: float = 0.99):
-        if not initial_temperature > 0:
-            raise ValidationError(
-                f"initial_temperature must be positive, got {initial_temperature}"
-            )
+        # an infinite one would put every proposal on a lower bound
+        if not 0 < initial_temperature < math.inf:
+            raise ValidationError("initial_temperature must be positive and finite, "
+                                  f"got {initial_temperature}")
         if not 0.0 < cooling <= 1.0:
             raise ValidationError(f"cooling must be in (0, 1], got {cooling}")
         self.initial_temperature = float(initial_temperature)
@@ -444,10 +458,12 @@ def optimize(
     objective call in call order, never more than ``budget`` entries; under
     FALSIFICATION its last entry is the first negative robustness found.
     ``best`` is the minimum-robustness entry, earliest call winning ties.
-    An objective value of NaN raises :class:`ValidationError` naming the
-    sample; it never reaches the history.  A :class:`SimulationError` from
-    the objective ends the search and is raised again, carrying the calls
-    completed before it as its ``history`` attribute.
+    A sample outside the box, NaN or +-inf included, raises
+    :class:`ValidationError` naming it before the objective runs, and so
+    does an objective value of NaN; neither reaches the history.  A
+    :class:`SimulationError` from the objective ends the search and is
+    raised again, carrying the calls completed before it as its
+    ``history`` attribute.
     """
     _integer(budget, "budget", 1)
     # not bounded above: a campaign seeds run k with options.seed + k

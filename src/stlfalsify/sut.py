@@ -177,12 +177,11 @@ BlackboxFunc = Callable[
 class Blackbox:
     """System under test defined by a user function ``(X, T, U)``.
 
-    By default each input signal is sampled on an evenly spaced grid of
-    ``steps + 1`` points across the simulation interval.  With
-    ``interpolate=False`` the raw control points are passed through
-    uninterpolated instead: ``T`` is then the shared control-time grid, which
-    requires every signal to declare the same number of control points.
-    ``X``, ``T`` and each row of ``U`` are tuples of floats.
+    Each input signal is sampled on an evenly spaced grid of ``steps + 1``
+    points across the simulation interval.  With ``steps = control_points -
+    1`` that grid is the control times, and each row of ``U`` holds the
+    control values (a piecewise-linear signal's interior ``-0.0`` arrives as
+    ``0.0``).  ``X``, ``T`` and each row of ``U`` are tuples of floats.
 
     The returned timestamps must be strictly increasing, trajectories must
     form one equal-length state row per timestamp, and the timestamps must
@@ -191,28 +190,17 @@ class Blackbox:
     values ``float()`` rejects, is a :class:`TraceValidationError`.
     """
 
-    def __init__(self, func: BlackboxFunc, steps: int = DEFAULT_STEPS,
-                 interpolate: bool = True, reentrant: bool = False):
+    def __init__(self, func: BlackboxFunc, steps: int = DEFAULT_STEPS, *,
+                 reentrant: bool = False):
         self.func = func
-        self.steps = _integer(steps, "steps", 1)
-        self.interpolate = interpolate
+        self.steps = _integer(steps, "steps", 0)
         self.reentrant = reentrant
 
     def simulate(self, static: Sequence[float], signals: Sequence[Interpolator],
                  interval: tuple[float, float]) -> Trace:
         start, end = _checked_interval(interval)
-        if self.interpolate or not signals:
-            times = _grid(start, end, self.steps)
-            rows = tuple(tuple(s.sample(times)) for s in signals)
-        else:
-            counts = {len(s.control_values) for s in signals}
-            if len(counts) != 1:
-                raise ValidationError(
-                    "uninterpolated signals must share one control-point count, "
-                    f"got {sorted(counts)}"
-                )
-            times = _grid(start, end, counts.pop() - 1)
-            rows = tuple(s.control_values for s in signals)
+        times = _grid(start, end, self.steps)
+        rows = tuple(tuple(s.sample(times)) for s in signals)
         try:
             timestamps, trajectories = self.func(tuple(map(float, static)), times, rows)
         except SimulationError:
@@ -244,8 +232,8 @@ def _discard(proc: subprocess.Popen | None) -> None:
 class _ExternBlackbox(Blackbox):
     """The extern bridge as a :class:`Blackbox`, plus :meth:`session`."""
 
-    def __init__(self, func, spares: threading.local, *args):
-        super().__init__(func, *args)
+    def __init__(self, func, spares: threading.local, steps: int, reentrant: bool):
+        super().__init__(func, steps, reentrant=reentrant)
         self._spares = spares
 
     @contextmanager
@@ -262,7 +250,7 @@ def extern_blackbox(
     command: str | Sequence[str | os.PathLike],
     steps: int = DEFAULT_STEPS,
     timeout: float = 60.0,
-    interpolate: bool = True,
+    *,
     reentrant: bool = False,
 ) -> Blackbox:
     """Wrap an external executable as a blackbox system under test.
@@ -332,7 +320,7 @@ def extern_blackbox(
             raise SimulationError(f"extern system {command[0]!r} produced no output")
         return rows[0], rows[1:]
 
-    return _ExternBlackbox(bridge, spares, steps, interpolate, reentrant)
+    return _ExternBlackbox(bridge, spares, steps, reentrant)
 
 
 @functools.lru_cache(maxsize=32)

@@ -55,6 +55,16 @@ print("1.0")
 print("1.0 2.0")
 """
 
+CONTROL_CHILD = """\
+import sys
+lines = sys.stdin.read().splitlines()
+if lines[1].split() != ["0.0", "1.0", "2.0", "3.0"] or len(lines[2].split()) != 4:
+    sys.exit(1)
+print(lines[1])
+for value in lines[2].split():
+    print(value)
+"""
+
 SLEEPY_CHILD = """\
 import time
 time.sleep(30)
@@ -745,13 +755,21 @@ class TestMainValidation:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
-    @pytest.mark.parametrize("key", ["interpolate", "reentrant"])
+    @pytest.mark.parametrize("key", ["reentrant"])
     def test_extern_flags_must_be_booleans(self, tmp_path, capsys, key):
         path = write_config(tmp_path, "c.json", {
             "system": {"extern": ["true"], key: "false"}, "spec": "p1",
             "variables": ["x"], "predicates": [],
         })
         self.expect_error(capsys, [path], f"system.{key} must be a boolean")
+
+    def test_interpolate_key_is_unknown(self, tmp_path, capsys):
+        # "steps": control_points - 1 hands the child the control points
+        path = write_config(tmp_path, "c.json", {
+            "system": {"extern": ["true"], "interpolate": False}, "spec": "p1",
+            "variables": ["x"], "predicates": [],
+        })
+        self.expect_error(capsys, [path], "unknown system key(s): interpolate")
 
     def test_infinite_interval_rejected(self, tmp_path, capsys):
         # a message and exit code 1, not an OverflowError from the integrator
@@ -815,6 +833,20 @@ class TestMainErrorPolicies:
         child = write_child(tmp_path, "crash.py", CRASH_CHILD)
         config = extern_config(tmp_path, child)
         assert main([config]) == 2
+
+    def test_control_points_through_the_config(self, tmp_path, capsys):
+        # "steps": control_points - 1: line 2 is the 4 control times and
+        # line 3 the 4 control values, or the child exits 1 and aborts the run
+        child = write_child(tmp_path, "control.py", CONTROL_CHILD)
+        path = write_config(tmp_path, "c.json", {
+            "system": {"extern": child, "steps": 3}, "spec": "p1",
+            "variables": ["x"],
+            "predicates": [{"name": "p1", "coefficients": [1.0], "bound": 5.0}],
+            "options": {"signals": [{"bound": [0.0, 1.0], "control_points": 4}],
+                        "iterations": 3, "interval": [0.0, 3.0]},
+        })
+        assert main([path]) == 0
+        assert "0 failed simulation(s)" in capsys.readouterr().out
 
     def test_ragged_child_follows_error_policy(self, tmp_path):
         child = write_child(tmp_path, "ragged.py", RAGGED_CHILD)

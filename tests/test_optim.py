@@ -5,7 +5,7 @@ import gc
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stlfalsify import get_benchmark, monitor, optim
 from stlfalsify.errors import SimulationError, ValidationError
@@ -383,6 +383,13 @@ class TestOptimize:
         assert len(history) == 10
 
 
+#: A finite interval whose width is finite too, anywhere in the float range.
+FINITE_INTERVALS = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+).filter(lambda b: b[0] < b[1] and math.isfinite(b[1] - b[0]))
+
+
 def record_static(simulated):
     """A one-variable Blackbox function that records each static vector."""
     def func(static, times, rows):
@@ -432,6 +439,82 @@ class TestFloatLimits:
                               Behavior.MINIMIZATION, 0)
         assert len(history) == 1200
         assert all(contains(UNIT, entry.sample) for entry in history)
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.lists(FINITE_INTERVALS, min_size=1, max_size=3))
+    @example(1, [(-8e307, 8e307)] * 3)
+    def test_every_sample_is_finite_and_inside_the_box(self, engine, seed, bounds):
+        # formerly basinhopping's Nelder-Mead centroid overflowed to inf and
+        # handed the objective NaN coordinates: at the example, optimize
+        # raised "objective returned NaN for sample (-5.55e+307, nan, nan)"
+        space = SearchSpace(tuple(bounds))
+        seen = []
+
+        def objective(sample):
+            seen.append(sample)
+            return sum(abs(x) / 1e308 for x in sample)
+
+        optimize(engine, objective, space, 200, Behavior.MINIMIZATION, seed)
+        assert len(seen) == 200
+        assert all(contains(space, sample) for sample in seen)
+
+    def test_widest_hop_at_the_float_limit(self):
+        # formerly NumPy's OverflowError: the hop range 2 * width overflows
+        space = SearchSpace(((-8e307, 8e307),))
+        history, _ = optimize(Basinhopping(hop_radius=1.0), sphere, space, 50,
+                              Behavior.MINIMIZATION, 1)
+        assert len(history) == 50
+        assert all(contains(space, entry.sample) for entry in history)
+
+    @pytest.mark.parametrize("temperature", [math.inf, math.nan, 0.0, -1.0])
+    def test_initial_temperature_must_be_finite_and_positive(self, temperature):
+        # an infinite one put every proposal on the lower bound
+        with pytest.raises(ValidationError, match="initial_temperature must be "
+                                                  "positive and finite"):
+            SimulatedAnnealing(initial_temperature=temperature)
+
+    def test_annealing_step_rejects_an_infinite_temperature(self):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            annealing_step(make_rng(0), Evaluation((0.5,), 1.0), math.inf, UNIT)
+
+
+class TestSampleGate:
+    """The one check between every engine and the objective."""
+
+    class Proposing:
+        """An engine that proposes the given samples in order."""
+
+        name = "proposing"
+
+        def __init__(self, *samples):
+            self.samples = samples
+
+        def run(self, objective, space, budget, rng):
+            for sample in self.samples:
+                objective(sample)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan, math.inf, -math.inf])
+    def test_sample_outside_the_box_rejected_before_the_objective(self, bad):
+        calls = []
+        engine = self.Proposing((0.5, 0.5), (0.5, bad))
+
+        def objective(sample):
+            calls.append(sample)
+            return 1.0
+
+        with pytest.raises(ValidationError) as raised:
+            optimize(engine, objective, SearchSpace(((0.0, 1.0), (-0.0, 1.0))), 10,
+                     Behavior.MINIMIZATION, 0)
+        assert calls == [(0.5, 0.5)]
+        assert str(raised.value) == (
+            f"engine proposed sample {(0.5, bad)} outside the search space "
+            "((0.0, 1.0), (-0.0, 1.0))")
+
+    def test_bounds_themselves_are_inside(self):
+        engine = self.Proposing((0.0, 1.0), (1.0, 0.0))
+        history, _ = optimize(engine, sphere, SQUARE, 10, Behavior.MINIMIZATION, 0)
+        assert [entry.sample for entry in history] == [(0.0, 1.0), (1.0, 0.0)]
 
 
 class TestEngineCalibration:

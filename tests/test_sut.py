@@ -141,8 +141,9 @@ class TestBlackboxSimulate:
         assert trace.times == (0.0, 1.0, 2.0)
         assert trace.states == ((5.0,), (6.0,), (7.0,))
 
-    @pytest.mark.parametrize("interpolate", [True, False])
-    def test_coerces_to_floats(self, interpolate):
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_coerces_to_floats(self, dense):
+        # a dense grid, or the control grid with steps = control_points - 1
         captured = []
 
         def probe(static, times, signals):
@@ -150,8 +151,9 @@ class TestBlackboxSimulate:
             return times, [(0.0,)] * len(times)
 
         signal = interpolator_create("piecewise-constant", (0, 1), [2, 3])
-        Blackbox(probe, steps=1, interpolate=interpolate).simulate((1,), (signal,), (0, 1))
-        assert captured == [(1.0,), (0.0, 1.0), (2.0, 3.0)]
+        Blackbox(probe, steps=2 if dense else 1).simulate((1,), (signal,), (0, 1))
+        expected = [(0.0, 0.5, 1.0), (2.0, 2.0, 3.0)] if dense else [(0.0, 1.0), (2.0, 3.0)]
+        assert captured == [(1.0,), *expected]
         assert {type(part) for part in captured} == {tuple}
         assert {type(value) for part in captured for value in part} == {float}
 
@@ -216,46 +218,64 @@ class TestBlackboxSystem:
         assert captured["signals"] == ((2.0, 2.0, 2.0, 2.0, 4.0),)
 
     def test_raw_control_points_pass_through(self):
+        # steps = control_points - 1: T is the control grid and U the control
+        # values, bit for bit apart from an interior -0.0 of a linear signal
+        values = [1.0, -0.0, 3.0, -2.5, -0.0]
+        arrived = {"piecewise-constant": values,
+                   "piecewise-linear": [1.0, 0.0, 3.0, -2.5, -0.0]}
+        for kind, expected in arrived.items():
+            captured = {}
+
+            def probe(static, times, signals):
+                captured.update(times=times, signals=signals)
+                return times, [(0.0,)] * len(times)
+
+            signal = interpolator_create(kind, (0.0, 3.0), values)
+            Blackbox(probe, steps=len(values) - 1).simulate((), (signal,), (0.0, 3.0))
+            assert all(map(bit_equal, captured["times"], signal.control_times))
+            [row] = captured["signals"]
+            assert len(row) == len(expected)
+            assert all(map(bit_equal, row, expected))
+
+    @pytest.mark.parametrize("kind", ["piecewise-constant", "piecewise-linear"])
+    def test_control_grid_is_the_cached_grid(self, kind):
+        # two signals of the same count share the one cached control grid
         captured = {}
 
         def probe(static, times, signals):
-            captured["times"] = times
-            captured["signals"] = signals
+            captured.update(times=times, signals=signals)
             return times, [(0.0,)] * len(times)
 
-        a = interpolator_create("piecewise-constant", (0.0, 3.0), [1.0, 2.0, 3.0])
-        b = interpolator_create("piecewise-linear", (0.0, 3.0), [9.0, 8.0, 7.0])
-        Blackbox(probe, interpolate=False).simulate((), (a, b), (0.0, 3.0))
-        assert captured["times"] == (0.0, 1.5, 3.0)
+        a = interpolator_create(kind, (0.0, 3.0), [1.0, 2.0, 3.0])
+        b = interpolator_create(kind, (0.0, 3.0), [9.0, 8.0, 7.0])
+        Blackbox(probe, steps=2).simulate((), (a, b), (0.0, 3.0))
+        assert captured["times"] is a.control_times
         assert captured["signals"] == ((1.0, 2.0, 3.0), (9.0, 8.0, 7.0))
 
     def test_raw_single_control_point(self):
-        # no steps between control points: the start alone, not 0 / 0
+        # steps=0: the start alone, not 0 / 0
         captured = {}
 
         def probe(static, times, signals):
-            captured["times"] = times
-            captured["signals"] = signals
+            captured.update(times=times, signals=signals)
             return times, [(0.0,)] * len(times)
 
         signal = interpolator_create("piecewise-constant", (0.5, 1.0), [2.0])
-        trace = Blackbox(probe, interpolate=False).simulate((), (signal,), (0.5, 1.0))
+        trace = Blackbox(probe, steps=0).simulate((), (signal,), (0.5, 1.0))
         assert captured == {"times": (0.5,), "signals": ((2.0,),)}
         assert trace.times == (0.5,)
-
-    def test_raw_mode_requires_equal_control_counts(self):
-        a = interpolator_create("piecewise-constant", (0.0, 3.0), [1.0, 2.0])
-        b = interpolator_create("piecewise-constant", (0.0, 3.0), [1.0, 2.0, 3.0])
-        box = Blackbox(echo, interpolate=False)
-        with pytest.raises(ValidationError, match="control-point count"):
-            box.simulate((), (a, b), (0.0, 3.0))
 
     def test_not_reentrant_by_default(self):
         assert Blackbox(echo).reentrant is False
 
     def test_steps_validated(self):
-        with pytest.raises(ValidationError):
-            Blackbox(echo, steps=0)
+        with pytest.raises(ValidationError, match="steps must be >= 0"):
+            Blackbox(echo, steps=-1)
+
+    def test_reentrant_is_keyword_only(self):
+        # a third positional argument was once the interpolate flag
+        with pytest.raises(TypeError):
+            Blackbox(echo, 4, False)
 
     @pytest.mark.parametrize("steps", [2.5, 4.0, "4", True])
     def test_non_integer_steps_rejected(self, steps):
@@ -775,20 +795,21 @@ class TestCachedGrids:
         for step in (0.25, 0.1, 0.25, 0.1):
             self.assert_matches_seed((-1.0, 1.5), step)
 
-    @pytest.mark.parametrize("interpolate", [True, False])
-    def test_blackbox_request_times(self, interpolate):
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_blackbox_request_times(self, dense):
         requests = []
 
         def record(static, times, signal_rows):
             requests.append(times)
             return times, [(0.0,)] * len(times)
 
-        system = Blackbox(record, steps=7, interpolate=interpolate)
+        # a dense grid, or the control grid of 4 points
+        steps = 7 if dense else 3
+        system = Blackbox(record, steps=steps)
         intervals = ((-0.0, 1.25), (0.0, 1.25), (-0.0, 1.25), (-1.5, 2.5), (0.0, 1.25))
         for start, end in intervals:
             signal = interpolator_create("piecewise-constant", (start, end), [1.0] * 4)
             system.simulate((), (signal,), (start, end))
-            steps = 7 if interpolate else 3
             expected = tuple(start + (end - start) * k / steps for k in range(steps + 1))
             assert len(requests[-1]) == len(expected)
             assert all(map(bit_equal, requests[-1], expected))
